@@ -84,7 +84,6 @@ from repro.errors import (
     CheckpointCorruptError,
     JournalCorruptError,
     GridCellError,
-    ExecutorFallbackWarning,
     TimeoutUnenforcedWarning,
 )
 from repro.faults import (
@@ -164,7 +163,6 @@ __all__ = [
     "CheckpointCorruptError",
     "JournalCorruptError",
     "GridCellError",
-    "ExecutorFallbackWarning",
     "TimeoutUnenforcedWarning",
     "FaultPlan",
     "PEFailure",

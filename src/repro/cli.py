@@ -143,16 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--seed", type=int, default=0)
     grid.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for the grid cells (default: serial)",
+        help="worker processes for the grid cells (default: in-process)",
     )
     grid.add_argument(
         # Mirrors runner.GRID_EXECUTORS; kept literal so building the
         # parser stays import-light (locked by a CLI test).
-        "--executor", default="auto",
-        choices=["auto", "serial", "process", "batched"],
-        help="grid execution strategy: batched packs all cells into one "
-        "mega-arena; process is the per-cell pool; auto picks batched "
-        "when every cell supports it (default: auto)",
+        "--executor", default="serial", choices=["serial", "batched"],
+        help="engine for the grid cells: serial runs one cell at a time "
+        "(the oracle); batched packs cells into one mega-arena; --jobs "
+        "picks worker processes for either (default: serial)",
     )
     grid.add_argument(
         "--stats", default=None, metavar="PATH",
@@ -171,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument(
         "--kernel-backend", default="numpy",
         choices=["auto", "numpy", "fused", "jit"],
-        help="kernel tier for the batched executor's mega-arena "
-        "(serial/process paths ignore it; every tier is "
+        help="kernel tier for the batched engine's mega-arena "
+        "(the serial engine ignores it; every tier is "
         "record-identical; default: numpy)",
     )
 
@@ -335,11 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-pending", type=int, default=32,
         help="queued-plus-running job bound; beyond it submissions get "
         "429 (default: 32)",
-    )
-    serve.add_argument(
-        "--backend", choices=["auto", "stdlib", "fastapi"], default="auto",
-        help="HTTP backend; 'auto' uses fastapi when importable, else "
-        "the stdlib server (default: auto)",
     )
 
     return parser
@@ -838,38 +832,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ExperimentService, create_server, have_fastapi
+    from repro.serve import ExperimentService, create_server
     from repro.serve.app import serve_forever
 
-    backend = args.backend
-    if backend == "auto":
-        backend = "fastapi" if have_fastapi() else "stdlib"
-    if backend == "fastapi" and not have_fastapi():
-        print(
-            "repro serve: error: --backend fastapi, but fastapi is not "
-            "installed (use --backend stdlib)",
-            file=sys.stderr,
-        )
-        return 2
     service = ExperimentService(
         args.store, workers=args.workers, max_pending=args.max_pending
     )
-    if backend == "fastapi":  # pragma: no cover - optional dependency
-        import uvicorn
-
-        from repro.serve import create_fastapi_app
-
-        app = create_fastapi_app(service)
-        print(f"repro serve [fastapi] on http://{args.host}:{args.port}")
-        print(f"store: {service.store.root}  ({len(service.store)} records)")
-        try:
-            uvicorn.run(app, host=args.host, port=args.port, log_level="warning")
-        finally:
-            service.close()
-        return 0
     server = create_server(service, args.host, args.port)
     host, port = server.server_address[:2]
-    print(f"repro serve [stdlib] on http://{host}:{port}")
+    print(f"repro serve on http://{host}:{port}")
     print(f"store: {service.store.root}  ({len(service.store)} records)")
     serve_forever(server)
     return 0

@@ -34,10 +34,8 @@ family that maps one-to-one onto HTTP responses:
 :class:`RecordNotFoundError` (404), and :class:`QueueFullError` (429,
 the bounded job queue's backpressure signal).
 
-Two :class:`UserWarning` categories accompany the hierarchy so silent
-degradations become visible without aborting a sweep:
-:class:`ExecutorFallbackWarning` (``run_grid(executor="auto")`` picked a
-slower path than the batched executor) and
+A :class:`UserWarning` category accompanies the hierarchy so a silent
+degradation becomes visible without aborting a sweep:
 :class:`TimeoutUnenforcedWarning` (a per-cell timeout was requested on a
 platform without ``signal.SIGALRM`` and cannot be enforced).
 """
@@ -57,7 +55,6 @@ __all__ = [
     "JobNotFoundError",
     "RecordNotFoundError",
     "QueueFullError",
-    "ExecutorFallbackWarning",
     "TimeoutUnenforcedWarning",
 ]
 
@@ -176,16 +173,6 @@ class QueueFullError(ServeError):
     """
 
     status = 429
-
-
-class ExecutorFallbackWarning(UserWarning):
-    """``run_grid(executor="auto")`` fell back from the batched executor.
-
-    Emitted with the concrete reason (unbatchable schemes, or per-cell
-    hardening routed to the process pool) so the silent slow-path pick
-    documented at the call site becomes visible; the same reason is
-    recorded in the grid's metrics registry when one is attached.
-    """
 
 
 class TimeoutUnenforcedWarning(UserWarning):

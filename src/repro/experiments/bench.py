@@ -339,14 +339,14 @@ def bench_grid(
     """A small Figure-4-style grid: serial vs batched vs process-parallel.
 
     The defaults take SMALL_SCALE's machine width and its smaller Table 2
-    work sizes.  The headline ``speedup`` is the in-process mega-arena
-    executor against the per-cell serial oracle — it does not need free
-    cores, so it must beat 1.0 even on a 1-core CI host.
-    ``speedup_process`` is the per-cell pool, which *does* need
-    ``n_jobs`` free cores (the host block records ``cpu_count`` for
-    exactly that reason).  All paths report best-of-``repeats`` (repeat
-    0 untimed warmup); the grids themselves are deterministic, so every
-    repeat computes the same records.
+    work sizes.  The headline ``speedup`` is the in-process batched
+    engine against the in-process serial oracle — it does not need free
+    cores.  ``speedup_process`` is the serial engine on the worker pool
+    with ``n_jobs`` one-cell shards, which *does* need ``n_jobs`` free
+    cores (the host block records ``cpu_count`` for exactly that
+    reason).  All paths report best-of-``repeats`` (repeat 0 untimed
+    warmup); the grids themselves are deterministic, so every repeat
+    computes the same records.
     """
     _check_repeats(repeats)
     grid_args = (list(schemes), list(works), list(pes))
@@ -366,7 +366,7 @@ def bench_grid(
     for rep in range(repeats + 1):
         time_one("serial", rep, executor="serial")
         time_one("batched", rep, executor="batched")
-        time_one("process", rep, executor="process", n_jobs=n_jobs)
+        time_one("process", rep, executor="serial", n_jobs=n_jobs)
     serial_s, batched_s, process_s = (
         timings["serial"], timings["batched"], timings["process"],
     )

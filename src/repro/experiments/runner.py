@@ -18,6 +18,10 @@ Grid execution is durable and hardened (see ``docs/durability.md``):
   :class:`~repro.errors.GridCellError` carries every *completed*
   record and a typed :class:`QuarantineReport` instead of discarding
   the sweep.
+
+Execution has two independent settings: the engine (``executor``,
+serial or batched) and whether cells run in process or on one hardened
+worker pool (``n_jobs > 1``, ``timeout`` or ``chaos``).
 """
 
 from __future__ import annotations
@@ -35,12 +39,7 @@ from repro.core.config import Scheme, make_scheme, parse_scheme_spec
 from repro.core.metrics import RunMetrics
 from repro.core.scheduler import Scheduler
 from repro.core.splitting import WorkSplitter
-from repro.errors import (
-    ConfigError,
-    ExecutorFallbackWarning,
-    GridCellError,
-    TimeoutUnenforcedWarning,
-)
+from repro.errors import ConfigError, GridCellError, TimeoutUnenforcedWarning
 from repro.experiments.batched import CellPlan, is_batchable, run_batched_cells
 from repro.faults import CheckpointConfig, FaultPlan, GridChaos
 from repro.obs import Observability
@@ -70,15 +69,11 @@ __all__ = [
     "default_init_threshold",
 ]
 
-#: Accepted ``run_grid(executor=...)`` values.  ``"auto"`` picks the
-#: batched executor whenever every cell supports it and no per-cell
-#: hardening (chaos / timeout) was requested, falling back to the
-#: process pool (``n_jobs > 1``) or the serial loop otherwise — and the
-#: fallback is announced with :class:`~repro.errors.
-#: ExecutorFallbackWarning` plus registry metadata, never silent.
-#: Explicit ``executor="batched"`` accepts ``timeout``/``chaos`` and
-#: enforces them at shard granularity through the worker pool.
-GRID_EXECUTORS = ("auto", "serial", "process", "batched")
+#: Accepted ``run_grid(executor=...)`` values: the engine that runs a
+#: shard's cells.  ``"serial"`` (the default) is the one-cell-at-a-time
+#: oracle; ``"batched"`` packs cells into one mega-arena.  Whether cells
+#: run in worker processes is a separate choice (see :func:`run_grid`).
+GRID_EXECUTORS = ("serial", "batched")
 
 
 @dataclass(frozen=True)
@@ -277,69 +272,6 @@ class QuarantineReport:
         return tuple(f.index for f in self.failures)
 
 
-def _run_grid_cell(
-    payload: tuple,
-) -> RunMetrics:
-    """One grid cell, picklable for ``ProcessPoolExecutor`` workers.
-
-    Schemes travel as spec strings (Scheme factories close over locals
-    and do not pickle) and are rebuilt with ``make_scheme`` in the
-    worker; the cost model and splitter pickle as-is.
-
-    The per-cell ``timeout`` is enforced *inside* the worker with
-    ``SIGALRM`` (POSIX only; off-POSIX the parent warns with
-    :class:`~repro.errors.TimeoutUnenforcedWarning` instead of silently
-    dropping the bound) so a wedged cell surfaces as a retryable
-    :class:`~repro.errors.GridCellError` instead of stalling the whole
-    pool.  ``chaos`` is the deterministic crash hook for the hardening
-    tests; ``attempt`` rides along so chaos can fire on attempt 0 and
-    let the retry succeed.
-    """
-    (
-        spec,
-        total_work,
-        n_pes,
-        seed,
-        cost_model,
-        splitter,
-        init_threshold,
-        sanitize,
-        timeout,
-        chaos,
-        index,
-        attempt,
-    ) = payload
-    if chaos is not None:
-        chaos.maybe_trigger(index, attempt)
-
-    use_alarm = timeout is not None and hasattr(signal, "SIGALRM")
-    if use_alarm:
-
-        def _on_alarm(signum: int, frame: object) -> None:
-            raise GridCellError(
-                f"grid cell {index} ({spec!r}, W={total_work}, P={n_pes}) "
-                f"timed out after {timeout}s"
-            )
-
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return run_divisible(
-            make_scheme(spec),
-            total_work,
-            n_pes,
-            cost_model=cost_model,
-            splitter=splitter,
-            seed=seed,
-            init_threshold=init_threshold,
-            sanitize=sanitize,
-        )
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-
-
 def plan_grid(
     schemes: list[Scheme | str],
     works: list[int],
@@ -352,9 +284,9 @@ def plan_grid(
 
     Cells come back in scheme-major order with their deterministic
     :func:`cell_seed` and the init threshold already resolved (the
-    ``"auto"`` convention applied per scheme), so every executor —
-    serial, process-pooled, batched, sharded — starts from the same
-    plan and cannot disagree about seeds or thresholds.
+    ``"auto"`` convention applied per scheme), so both engines, in
+    process or pooled, start from the same plan and cannot disagree
+    about seeds or thresholds.
     """
     grid_schemes = [make_scheme(s) if isinstance(s, str) else s for s in schemes]
     plans: list[CellPlan] = []
@@ -381,35 +313,81 @@ def plan_grid(
     return plans
 
 
-def _run_grid_batch(payload: tuple) -> list[tuple[int, RunMetrics]]:
+def _run_cells(
+    plans: list[CellPlan],
+    executor: str,
+    *,
+    cost_model: CostModel | None,
+    splitter: WorkSplitter | None,
+    sanitize: bool,
+    kernel_backend: str,
+    on_done: Callable[[CellPlan, RunMetrics], None] | None = None,
+) -> dict[int, RunMetrics]:
+    """Run planned cells in this process on ``executor``'s engine.
+
+    ``"batched"`` packs every batchable cell into one
+    :class:`~repro.workmodel.mega.MegaArena`; cells it cannot replicate
+    (opaque scheme factories), and every cell on the ``"serial"``
+    engine, run one at a time through :func:`run_divisible`.
+    ``on_done`` sees each cell the moment it finishes (the journal hook).
+    """
+    results: dict[int, RunMetrics] = {}
+    if executor == "batched":
+        results = run_batched_cells(
+            [p for p in plans if is_batchable(p.scheme)],
+            cost_model=cost_model,
+            splitter=splitter,
+            sanitize=sanitize,
+            kernel_backend=kernel_backend,
+            on_cell_done=on_done,
+        )
+        plans = [p for p in plans if p.index not in results]
+    for plan in plans:
+        metrics = run_divisible(
+            plan.scheme,
+            plan.total_work,
+            plan.n_pes,
+            cost_model=cost_model,
+            splitter=splitter,
+            seed=plan.seed,
+            init_threshold=plan.init_threshold,
+            sanitize=sanitize,
+        )
+        results[plan.index] = metrics
+        if on_done is not None:
+            on_done(plan, metrics)
+    return results
+
+
+def _describe(shard: list[CellPlan]) -> str:
+    """Name a shard's cells in error messages (coordinates for one)."""
+    if len(shard) == 1:
+        p = shard[0]
+        return f"cell {p.index} ({p.scheme.name!r}, W={p.total_work}, P={p.n_pes})"
+    return f"cells {[p.index for p in shard]}"
+
+
+def _run_shard(payload: tuple) -> list[tuple[int, RunMetrics]]:
     """One shard of planned cells, picklable for pool workers.
 
-    Unlike the per-cell worker above, a shard carries *many* cells and
-    rebuilds its schemes (spec strings) and MegaArena once — the spawn
-    and rebuild cost is amortized over the whole batch.
+    Schemes travel as spec strings (Scheme factories close over locals
+    and do not pickle) and are rebuilt with ``make_scheme`` here, once
+    per shard; ``engine`` (cost model, splitter, sanitize, kernel tier)
+    pickles as-is.  The shard runs on ``executor``'s engine
+    (:func:`_run_cells`).
 
-    Hardening is enforced at shard granularity: ``chaos`` fires before
-    the arena starts, once per cell index the shard carries (so the
-    same ``GridChaos(index=...)`` crashes the same work on every
-    executor), and ``timeout`` arms a single ``SIGALRM`` watchdog of
-    ``timeout * len(shard)`` seconds — the cells advance in lock-step,
-    so a per-cell budget scales to the shard it is packed into.  A
-    tripped watchdog raises a retryable
-    :class:`~repro.errors.GridCellError` naming the shard.
+    ``timeout`` arms one in-worker ``SIGALRM`` watchdog of ``timeout *
+    len(shard)`` seconds — a per-cell budget scaled to the shard (a
+    batched shard's cells advance in lock-step).  ``chaos`` fires inside
+    the armed window, once per cell index the shard carries with the
+    shard's attempt number, so an injected hang is timed out like any
+    wedged cell and the same ``GridChaos(index=...)`` crashes the same
+    work on either engine.  A tripped watchdog raises a retryable
+    :class:`~repro.errors.GridCellError` naming the shard.  Off POSIX
+    the parent warns with :class:`~repro.errors.TimeoutUnenforcedWarning`
+    instead of silently dropping the bound.
     """
-    (
-        shard,
-        cost_model,
-        splitter,
-        kernel_backend,
-        sanitize,
-        timeout,
-        chaos,
-        attempt,
-    ) = payload
-    if chaos is not None:
-        for row in shard:
-            chaos.maybe_trigger(row[0], attempt)
+    rows, executor, engine, timeout, chaos, attempt = payload
     plans = [
         CellPlan(
             index=index,
@@ -419,83 +397,27 @@ def _run_grid_batch(payload: tuple) -> list[tuple[int, RunMetrics]]:
             seed=seed,
             init_threshold=threshold,
         )
-        for (index, spec, total_work, n_pes, seed, threshold) in shard
+        for (index, spec, total_work, n_pes, seed, threshold) in rows
     ]
-    watchdog = None if timeout is None else timeout * len(shard)
+    watchdog = None if timeout is None else timeout * len(plans)
     use_alarm = watchdog is not None and hasattr(signal, "SIGALRM")
     if use_alarm:
-        indices = [p.index for p in plans]
 
         def _on_alarm(signum: int, frame: object) -> None:
-            raise GridCellError(
-                f"batched shard of {len(indices)} cell(s) "
-                f"{indices} timed out after {watchdog}s"
-            )
+            raise GridCellError(f"{_describe(plans)} timed out after {watchdog}s")
 
         previous = signal.signal(signal.SIGALRM, _on_alarm)
         signal.setitimer(signal.ITIMER_REAL, watchdog)
     try:
-        results = run_batched_cells(
-            plans,
-            cost_model=cost_model,
-            splitter=splitter,
-            sanitize=sanitize,
-            kernel_backend=kernel_backend,
-        )
+        if chaos is not None:
+            for plan in plans:
+                chaos.maybe_trigger(plan.index, attempt)
+        results = _run_cells(plans, executor, **engine)
     finally:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
     return sorted(results.items())
-
-
-def _resolve_executor(
-    executor: str,
-    plans: list[CellPlan],
-    n_jobs: int | None,
-    timeout: float | None,
-    chaos: GridChaos | None,
-) -> tuple[str, list[tuple[str, str]]]:
-    """Pick the concrete execution path for this grid.
-
-    Returns ``(resolved, fallback_reasons)`` where the reasons — pairs
-    of a short machine code and a human sentence — are non-empty exactly
-    when ``"auto"`` declined the batched fast path; ``run_grid`` turns
-    them into an :class:`~repro.errors.ExecutorFallbackWarning` and
-    registry metadata.
-    """
-    if executor not in GRID_EXECUTORS:
-        raise ConfigError(
-            f"executor must be one of {GRID_EXECUTORS}, got {executor!r}"
-        )
-    if executor == "process" and not (n_jobs is not None and n_jobs > 1):
-        raise ConfigError("executor='process' requires n_jobs > 1")
-    if executor != "auto":
-        return executor, []
-    reasons: list[tuple[str, str]] = []
-    if timeout is not None or chaos is not None:
-        reasons.append(
-            (
-                "hardening",
-                "per-cell timeout/chaos hardening was requested "
-                "(auto routes it to the per-cell pool; pass "
-                "executor='batched' for shard-level enforcement)",
-            )
-        )
-    unbatchable = sorted(
-        {p.scheme.name for p in plans if not is_batchable(p.scheme)}
-    )
-    if unbatchable:
-        reasons.append(
-            (
-                "unbatchable-scheme",
-                "scheme(s) the batched executor cannot replicate: "
-                + ", ".join(unbatchable),
-            )
-        )
-    if not reasons:
-        return "batched", []
-    return ("process" if n_jobs is not None and n_jobs > 1 else "serial"), reasons
 
 
 #: One-per-process latch for the off-POSIX timeout warning.
@@ -584,7 +506,7 @@ def run_grid(
     retry: RetryPolicy | None = None,
     chaos: GridChaos | None = None,
     registry: MetricsRegistry | None = None,
-    executor: str = "auto",
+    executor: str = "serial",
     kernel_backend: str = "numpy",
     sanitize: bool = False,
     journal: "str | Path | None" = None,
@@ -597,14 +519,22 @@ def run_grid(
     there), so cells are reproducible independently of grid shape and of
     how the grid is executed.
 
-    ``n_jobs`` enables worker processes (``concurrent.futures``): whole
-    cells on the ``"process"`` path, contiguous *shards* of cells on the
-    ``"batched"`` path.  Results are returned in the same scheme-major
-    order with the same per-cell seeds on every path, so all executors
-    are record-for-record identical.  Multi-process execution requires
-    every scheme's name to round-trip through ``make_scheme`` (all
-    Table 1 schemes do; baseline schemes with opaque factories must use
-    the serial path).
+    Two independent settings decide how cells run, and every
+    combination returns the same records in the same scheme-major order:
+
+    - ``executor`` (:data:`GRID_EXECUTORS`) picks the engine: ``"serial"``
+      (default) runs one cell at a time through :func:`run_divisible` —
+      the oracle; ``"batched"`` packs cells into one
+      :class:`~repro.workmodel.mega.MegaArena` and advances them with
+      single full-width kernel calls (cells whose scheme it cannot
+      replicate run serially);
+    - the **worker pool** is used exactly when ``n_jobs > 1`` or
+      ``timeout``/``chaos`` is given.  The serial engine ships one-cell
+      shards; the batched engine one contiguous shard per worker, so
+      spawn and scheme rebuild are paid per shard.  Pooled execution
+      requires every scheme's name to round-trip through ``make_scheme``
+      (all Table 1 schemes do; baseline schemes with opaque factories
+      must run in-process).
 
     **Durability** — ``journal`` names a write-ahead
     :class:`~repro.experiments.journal.CellJournal` file: every
@@ -615,23 +545,24 @@ def run_grid(
     the journal round-trips records exactly, a killed-and-resumed grid
     returns records **bit-identical** to an uninterrupted run.
 
-    The parallel paths are hardened against worker failure:
+    The pool is hardened against worker failure:
 
-    - ``timeout`` bounds each cell's wall-clock seconds (enforced
-      in-worker via ``SIGALRM`` on POSIX; elsewhere a one-time
+    - ``timeout`` bounds each cell's wall-clock seconds (a shard gets
+      ``timeout * len(shard)``; enforced in-worker via ``SIGALRM`` on
+      POSIX; elsewhere a one-time
       :class:`~repro.errors.TimeoutUnenforcedWarning` is emitted and
       ``grid.timeout_enforced`` is recorded as 0 instead of silently
       pretending the bound held);
-    - a cell that raises, times out, or loses its worker is retried
-      under ``retry`` (a :class:`RetryPolicy`; defaults to
+    - a shard that raises, times out, or loses its worker is retried
+      whole under ``retry`` (a :class:`RetryPolicy`; defaults to
       ``RetryPolicy(max_retries=max_retries)``) **with the same**
-      :func:`cell_seed`, after a deterministic exponential backoff
-      whose jitter derives from the cell seed — so a retried cell's
-      record is identical to an undisturbed one and the whole backoff
-      schedule is replayable;
+      :func:`cell_seed` values, after a deterministic exponential
+      backoff whose jitter derives from the cell seed — so a retried
+      cell's record is identical to an undisturbed one and the whole
+      backoff schedule is replayable;
     - a ``BrokenProcessPool`` (worker killed hard) respawns the pool and
-      requeues every unfinished in-flight cell, each charged one
-      attempt and reported with its ``(scheme, W, P)`` coordinates;
+      requeues every unfinished in-flight shard, each charged one
+      attempt and reported with its cells' ``(scheme, W, P)``;
     - cells that exhaust their retries are **quarantined**: the raised
       :class:`~repro.errors.GridCellError` carries the structured
       :class:`GridFailure` list, every completed :class:`GridRecord`
@@ -646,39 +577,25 @@ def run_grid(
     ``registry`` folds every cell's metrics into a
     :class:`~repro.obs.registry.MetricsRegistry` (plus ``grid.*``
     operational counters: cells/retries totals, resumed and quarantined
-    cells, the resolved executor path and any auto-fallback reason, and
-    whether a requested timeout is enforceable).  Recording happens in
-    the parent process in cell-index order on every execution path, so
-    all executors produce identical snapshots.
+    cells, the engine, and whether a requested timeout is enforceable).
+    Recording happens in the parent process in cell-index order on
+    every path, so all paths produce identical snapshots.
 
-    ``executor`` selects the execution strategy (:data:`GRID_EXECUTORS`):
-    ``"batched"`` packs every compatible cell into one
-    :class:`~repro.workmodel.mega.MegaArena` and advances all of them
-    with single full-width kernel calls (record-identical to serial;
-    with ``n_jobs > 1`` processes shard *batches* of cells, amortizing
-    spawn/rebuild); ``"process"`` is the per-cell pool; ``"serial"``
-    forces the one-cell-at-a-time oracle; ``"auto"`` (default) picks
-    batched whenever every cell supports it and no per-cell hardening
-    (``timeout``/``chaos``) was requested, warning
-    :class:`~repro.errors.ExecutorFallbackWarning` when it falls back.
-    Explicit ``executor="batched"`` *does* accept ``timeout``/``chaos``:
-    shards run in worker processes with a ``timeout * shard_size``
-    watchdog and per-cell-index chaos injection, and a crashed shard is
-    retried whole with its original seeds (cells journaled by finished
-    shards are replayed from the journal, not recomputed).  Chaos and
-    timeout apply to the pooled shard cells; unbatchable fallback cells
-    run serially in the parent, unhardened.
-
-    ``kernel_backend`` selects the kernel tier the batched executor's
+    ``kernel_backend`` selects the kernel tier the batched engine's
     mega-arena and matchers run on (``"numpy"`` reference by default,
     ``"fused"``/``"jit"``/``"auto"`` — see :mod:`repro.kernels`); the
-    serial and process paths ignore it, and every tier is
-    record-identical.
+    serial engine ignores it, and every tier is record-identical.
 
     ``sanitize`` turns on the runtime invariant checks in every cell
-    (serial, pooled and batched paths alike); sanitized records are
+    (either engine, in-process or pooled); sanitized records are
     bit-identical to unsanitized ones.
     """
+    if executor not in GRID_EXECUTORS:
+        raise ConfigError(
+            f"executor must be one of {GRID_EXECUTORS}, got {executor!r} "
+            "(worker processes are chosen by n_jobs > 1 or timeout/chaos, "
+            "not by the executor)"
+        )
     if retry is None:
         retry = RetryPolicy(max_retries=max_retries)
     if timeout is not None and timeout <= 0:
@@ -687,9 +604,6 @@ def run_grid(
         raise ConfigError("run_grid(resume=True) requires journal=<path>")
     plans = plan_grid(
         schemes, works, pes, base_seed=base_seed, init_threshold=init_threshold
-    )
-    resolved, fallback_reasons = _resolve_executor(
-        executor, plans, n_jobs, timeout, chaos
     )
 
     cell_journal: "CellJournal | None" = None
@@ -714,67 +628,46 @@ def run_grid(
         if cell_journal is not None:
             cell_journal.record_cell(plan, metrics)
 
-    if fallback_reasons:
-        detail = "; ".join(human for _, human in fallback_reasons)
-        warnings.warn(
-            f"run_grid(executor='auto') fell back to {resolved!r}: {detail}",
-            ExecutorFallbackWarning,
-            stacklevel=2,
-        )
     timeout_enforced = timeout is None or hasattr(signal, "SIGALRM")
     if not timeout_enforced:
         _warn_timeout_unenforced()
     if registry is not None:
-        registry.counter("grid.executor", {"path": resolved}).inc()
-        for code, _ in fallback_reasons:
-            registry.counter("grid.executor_fallback", {"reason": code}).inc()
+        registry.counter("grid.executor", {"path": executor}).inc()
         if timeout is not None:
             registry.gauge("grid.timeout_enforced").set(
                 1.0 if timeout_enforced else 0.0
             )
 
-    if resolved == "batched":
-        retries = _execute_batched(
+    pooled = (
+        (n_jobs is not None and n_jobs > 1)
+        or timeout is not None
+        or chaos is not None
+    )
+    engine = {
+        "cost_model": cost_model,
+        "splitter": splitter,
+        "sanitize": sanitize,
+        "kernel_backend": kernel_backend,
+    }
+    retries = 0
+    if pooled and todo:
+        retries, failures = _execute_pool(
             todo,
-            plans,
             results,
             on_done,
-            cost_model=cost_model,
-            splitter=splitter,
+            executor=executor,
+            engine=engine,
             n_jobs=n_jobs,
             timeout=timeout,
             chaos=chaos,
             retry=retry,
-            registry=registry,
-            kernel_backend=kernel_backend,
-            sanitize=sanitize,
-            journal=cell_journal,
         )
-    elif resolved == "process":
-        retries = _execute_process(
-            todo,
-            plans,
-            results,
-            on_done,
-            cost_model=cost_model,
-            splitter=splitter,
-            n_jobs=n_jobs,
-            timeout=timeout,
-            chaos=chaos,
-            retry=retry,
-            registry=registry,
-            sanitize=sanitize,
-            journal=cell_journal,
-        )
+        if failures:
+            _raise_quarantine(
+                plans, results, failures, retry.max_retries, registry, cell_journal
+            )
     else:
-        retries = _execute_serial(
-            todo,
-            results,
-            on_done,
-            cost_model=cost_model,
-            splitter=splitter,
-            sanitize=sanitize,
-        )
+        results.update(_run_cells(todo, executor, on_done=on_done, **engine))
 
     records = [
         GridRecord(p.scheme.name, p.n_pes, p.total_work, results[p.index])
@@ -784,146 +677,17 @@ def run_grid(
     return records
 
 
-def _execute_serial(
-    todo: list[CellPlan],
-    results: dict[int, RunMetrics],
-    on_done: Callable[[CellPlan, RunMetrics], None],
-    *,
-    cost_model: CostModel | None,
-    splitter: WorkSplitter | None,
-    sanitize: bool,
-) -> int:
-    """The one-cell-at-a-time oracle path (journals as it goes)."""
-    for plan in todo:
-        metrics = run_divisible(
-            plan.scheme,
-            plan.total_work,
-            plan.n_pes,
-            cost_model=cost_model,
-            splitter=splitter,
-            seed=plan.seed,
-            init_threshold=plan.init_threshold,
-            sanitize=sanitize,
-        )
-        results[plan.index] = metrics
-        on_done(plan, metrics)
-    return 0
-
-
-def _require_spec_named(plans: list[CellPlan], where: str) -> None:
+def _require_spec_named(plans: list[CellPlan]) -> None:
     for plan in plans:
         try:
             make_scheme(plan.scheme.name)
         except ValueError:
             raise ConfigError(
                 f"scheme {plan.scheme.name!r} cannot be rebuilt from its "
-                f"spec; {where} supports spec-named schemes only — use the "
-                "serial path"
+                "spec; the worker pool (n_jobs > 1, timeout or chaos) "
+                "supports spec-named schemes only — run it serially "
+                "in-process"
             ) from None
-
-
-def _execute_process(
-    todo: list[CellPlan],
-    plans: list[CellPlan],
-    results: dict[int, RunMetrics],
-    on_done: Callable[[CellPlan, RunMetrics], None],
-    *,
-    cost_model: CostModel | None,
-    splitter: WorkSplitter | None,
-    n_jobs: int | None,
-    timeout: float | None,
-    chaos: GridChaos | None,
-    retry: RetryPolicy,
-    registry: MetricsRegistry | None,
-    sanitize: bool,
-    journal: "CellJournal | None",
-) -> int:
-    """The per-cell process pool with retry, backoff and quarantine."""
-    _require_spec_named(todo, "run_grid(n_jobs>1)")
-    by_index = {p.index: p for p in todo}
-
-    def payload_for(plan: CellPlan, attempt: int) -> tuple:
-        return (
-            plan.scheme.name,
-            plan.total_work,
-            plan.n_pes,
-            plan.seed,
-            cost_model,
-            splitter,
-            plan.init_threshold,
-            sanitize,
-            timeout,
-            chaos,
-            plan.index,
-            attempt,
-        )
-
-    failures: list[GridFailure] = []
-    attempts: dict[int, int] = {p.index: 0 for p in todo}
-    pending = [p.index for p in todo]
-    pool = ProcessPoolExecutor(max_workers=n_jobs)
-    try:
-        while pending:
-            in_flight = {
-                pool.submit(
-                    _run_grid_cell, payload_for(by_index[idx], attempts[idx])
-                ): idx
-                for idx in pending
-            }
-            pending = []
-            delays: list[float] = []
-            pool_broken = False
-            for fut in as_completed(in_flight):
-                idx = in_flight[fut]
-                plan = by_index[idx]
-                try:
-                    metrics = fut.result()
-                    results[idx] = metrics
-                    on_done(plan, metrics)
-                    continue
-                except BrokenProcessPool:
-                    pool_broken = True
-                    error = (
-                        f"worker pool broke while cell {idx} "
-                        f"({plan.scheme.name!r}, W={plan.total_work}, "
-                        f"P={plan.n_pes}) was in flight"
-                    )
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                attempts[idx] += 1
-                if attempts[idx] > retry.max_retries:
-                    failures.append(
-                        GridFailure(
-                            idx,
-                            plan.scheme.name,
-                            plan.n_pes,
-                            plan.total_work,
-                            attempts[idx],
-                            error,
-                        )
-                    )
-                else:
-                    pending.append(idx)
-                    delays.append(retry.delay(plan.seed, attempts[idx] - 1))
-            if pool_broken:
-                # A hard worker death poisons every future in the old
-                # pool; respawn and let the requeued cells rerun with
-                # their original seeds.
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=n_jobs)
-            pending.sort()
-            if pending and delays:
-                # One sleep per resubmission round — the *decision* (how
-                # long) came from RetryPolicy.delay, which is pure.
-                time.sleep(max(delays))
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    if failures:
-        _raise_quarantine(
-            plans, results, failures, retry.max_retries, registry, journal
-        )
-    return sum(attempts.values())
 
 
 def _shard_plans(plans: list[CellPlan], n_shards: int) -> list[list[CellPlan]]:
@@ -939,161 +703,100 @@ def _shard_plans(plans: list[CellPlan], n_shards: int) -> list[list[CellPlan]]:
     return shards
 
 
-def _execute_batched(
+def _execute_pool(
     todo: list[CellPlan],
-    plans: list[CellPlan],
     results: dict[int, RunMetrics],
     on_done: Callable[[CellPlan, RunMetrics], None],
     *,
-    cost_model: CostModel | None,
-    splitter: WorkSplitter | None,
+    executor: str,
+    engine: dict,
     n_jobs: int | None,
     timeout: float | None,
     chaos: GridChaos | None,
     retry: RetryPolicy,
-    registry: MetricsRegistry | None,
-    kernel_backend: str,
-    sanitize: bool,
-    journal: "CellJournal | None",
-) -> int:
-    """Execute planned cells through the mega-arena batched backend.
+) -> tuple[int, list[GridFailure]]:
+    """Run ``todo`` as shards on a hardened worker pool.
 
-    Cells whose scheme the batched executor cannot replicate (opaque
-    matcher/trigger factories) fall back to the serial oracle in index
-    order; everything else advances in one :class:`MegaArena`.  With
-    ``n_jobs > 1`` the batchable cells are split into contiguous
-    *shards* — each worker process rebuilds its schemes once and packs
-    its whole shard into one arena, so spawn/rebuild cost is paid per
-    shard, not per cell.  When hardening (``timeout``/``chaos``) is
-    requested the shard pool is always used (one shard without
-    ``n_jobs``), so an injected ``os._exit`` kills a worker, never the
-    parent, and the watchdog alarm runs in-worker.  A failed shard is
-    retried whole with the same seeds after a deterministic backoff
-    (records of a retried shard are identical to an undisturbed one);
-    shards that exhaust the retry budget are quarantined with every
-    completed record attached.
+    Returns the number of failed shard attempts (``grid.retries_total``)
+    and the cells of every shard that exhausted the retry budget, for
+    the caller to quarantine.  The serial engine ships one-cell shards;
+    the batched engine one contiguous shard per worker.  A failed shard
+    is retried whole with the same seeds after a deterministic backoff;
+    a broken pool is respawned and its unfinished shards requeued.
+    Running even a single worker out of process means an injected
+    ``os._exit`` kills a worker, never the caller.
     """
-    batchable = [p for p in todo if is_batchable(p.scheme)]
-    fallback = [p for p in todo if not is_batchable(p.scheme)]
-    retries = 0
-    hardened = timeout is not None or chaos is not None
-    pooled = bool(batchable) and (
-        hardened or (n_jobs is not None and n_jobs > 1 and len(batchable) > 1)
-    )
+    _require_spec_named(todo)
+    workers = n_jobs if n_jobs is not None and n_jobs > 1 else 1
+    if executor == "serial":
+        shards = [[plan] for plan in todo]
+    else:
+        shards = _shard_plans(todo, workers)
+    by_index = {p.index: p for p in todo}
 
-    if pooled:
-        _require_spec_named(batchable, "sharded batched execution")
-        n_shards = n_jobs if n_jobs is not None and n_jobs > 1 else 1
-        shards = _shard_plans(batchable, n_shards)
-        by_index = {p.index: p for p in batchable}
+    def payload_for(shard: list[CellPlan], attempt: int) -> tuple:
+        rows = [
+            (p.index, p.scheme.name, p.total_work, p.n_pes, p.seed, p.init_threshold)
+            for p in shard
+        ]
+        return (rows, executor, engine, timeout, chaos, attempt)
 
-        def payload_for(shard: list[CellPlan], attempt: int) -> tuple:
-            rows = [
-                (
-                    p.index,
-                    p.scheme.name,
-                    p.total_work,
-                    p.n_pes,
-                    p.seed,
-                    p.init_threshold,
-                )
-                for p in shard
-            ]
-            return (
-                rows,
-                cost_model,
-                splitter,
-                kernel_backend,
-                sanitize,
-                timeout,
-                chaos,
-                attempt,
-            )
-
-        attempts = [0] * len(shards)
-        pending = list(range(len(shards)))
-        failures: list[GridFailure] = []
-        pool = ProcessPoolExecutor(max_workers=n_shards)
-        try:
-            while pending:
-                in_flight = {
-                    pool.submit(
-                        _run_grid_batch, payload_for(shards[s], attempts[s])
-                    ): s
-                    for s in pending
-                }
-                pending = []
-                delays: list[float] = []
-                pool_broken = False
-                for fut in as_completed(in_flight):
-                    s = in_flight[fut]
-                    try:
-                        for index, metrics in fut.result():
-                            results[index] = metrics
-                            on_done(by_index[index], metrics)
-                        continue
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        error = f"worker pool broke while shard {s} was in flight"
-                    except Exception as exc:
-                        error = f"{type(exc).__name__}: {exc}"
-                    attempts[s] += 1
-                    if attempts[s] > retry.max_retries:
-                        failures.extend(
-                            GridFailure(
-                                p.index,
-                                p.scheme.name,
-                                p.n_pes,
-                                p.total_work,
-                                attempts[s],
-                                error,
-                            )
-                            for p in shards[s]
+    attempts = [0] * len(shards)
+    pending = list(range(len(shards)))
+    failures: list[GridFailure] = []
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        while pending:
+            in_flight = {
+                pool.submit(_run_shard, payload_for(shards[s], attempts[s])): s
+                for s in pending
+            }
+            pending = []
+            delays: list[float] = []
+            pool_broken = False
+            for fut in as_completed(in_flight):
+                s = in_flight[fut]
+                shard = shards[s]
+                try:
+                    for index, metrics in fut.result():
+                        results[index] = metrics
+                        on_done(by_index[index], metrics)
+                    continue
+                except BrokenProcessPool:
+                    pool_broken = True
+                    error = f"worker pool broke while {_describe(shard)} was in flight"
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                attempts[s] += 1
+                if attempts[s] > retry.max_retries:
+                    failures.extend(
+                        GridFailure(
+                            p.index,
+                            p.scheme.name,
+                            p.n_pes,
+                            p.total_work,
+                            attempts[s],
+                            error,
                         )
-                    else:
-                        pending.append(s)
-                        delays.append(
-                            retry.delay(shards[s][0].seed, attempts[s] - 1)
-                        )
-                if pool_broken:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=n_shards)
-                pending.sort()
-                if pending and delays:
-                    time.sleep(max(delays))
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        retries = sum(attempts)
-
-        if failures:
-            _raise_quarantine(
-                plans, results, failures, retry.max_retries, registry, journal
-            )
-    elif batchable:
-        batch_results = run_batched_cells(
-            batchable,
-            cost_model=cost_model,
-            splitter=splitter,
-            sanitize=sanitize,
-            kernel_backend=kernel_backend,
-            on_cell_done=on_done,
-        )
-        results.update(batch_results)
-
-    for plan in fallback:
-        metrics = run_divisible(
-            plan.scheme,
-            plan.total_work,
-            plan.n_pes,
-            cost_model=cost_model,
-            splitter=splitter,
-            seed=plan.seed,
-            init_threshold=plan.init_threshold,
-            sanitize=sanitize,
-        )
-        results[plan.index] = metrics
-        on_done(plan, metrics)
-    return retries
+                        for p in shard
+                    )
+                else:
+                    pending.append(s)
+                    delays.append(retry.delay(shard[0].seed, attempts[s] - 1))
+            if pool_broken:
+                # A hard worker death poisons every future in the old
+                # pool; respawn and let the requeued shards rerun with
+                # their original seeds.
+                pool.shutdown(wait=False, cancel_futures=True)
+                pool = ProcessPoolExecutor(max_workers=workers)
+            pending.sort()
+            if pending and delays:
+                # One sleep per resubmission round — the *decision* (how
+                # long) came from RetryPolicy.delay, which is pure.
+                time.sleep(max(delays))
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+    return sum(attempts), failures
 
 
 def _fold_grid_metrics(

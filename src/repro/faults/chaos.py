@@ -8,12 +8,14 @@ are exactly reproducible and the retried attempt is guaranteed clean,
 which is what lets the hardened grid assert that a retried cell's record
 equals the serial oracle's.
 
-Both pooled executors honor it: the per-cell ``"process"`` path calls
-:meth:`GridChaos.maybe_trigger` right before the cell's simulation, and
-the sharded ``"batched"`` path calls it at shard start for every cell
-index the shard carries with the *shard's* attempt number — so the same
-``GridChaos(index=...)`` crashes the same logical work on either
-executor, and a shard retried after a crash runs clean.
+The grid's worker pool honors it on either engine: each shard calls
+:meth:`GridChaos.maybe_trigger` inside its armed watchdog window, for
+every cell index the shard carries, with the *shard's* attempt number —
+so the same ``GridChaos(index=...)`` crashes the same logical work on
+the serial engine's one-cell shards and the batched engine's wider
+ones, a ``"hang"`` is cut short by the timeout, and a shard retried
+after a crash runs clean.  Passing ``chaos`` always routes a grid
+through the pool, so an ``"exit"`` kills a worker, never the caller.
 
 Kinds:
 
@@ -65,7 +67,8 @@ class GridChaos:
     def maybe_trigger(self, index: int, attempt: int) -> None:
         """Fire the configured crash if ``(index, attempt)`` matches.
 
-        Runs inside the pool worker, before the cell's simulation starts.
+        Runs inside the pool worker, after the shard's watchdog is armed
+        and before the cell's simulation starts.
         """
         if index != self.index or attempt not in self.attempts:
             return

@@ -1,9 +1,10 @@
 """Bounded job queue: jobs, states, and the worker pool.
 
 Jobs run on a fixed :class:`~concurrent.futures.ThreadPoolExecutor`
-(the compute inside each job is numpy kernels and, for grids, the
-batched mega-arena — both release or amortize the GIL well enough for a
-service whose point is *not* computing most requests).  Admission is
+(the compute inside each job is numpy kernels — for grids, the default
+serial ``run_grid`` engine in process, no worker processes — which
+release the GIL well enough for a service whose point is *not*
+computing most requests).  Admission is
 bounded: at most ``max_pending`` jobs may be queued-or-running, and the
 next submission raises :class:`~repro.errors.QueueFullError` — explicit
 backpressure instead of an unbounded backlog.  Cache hits bypass the

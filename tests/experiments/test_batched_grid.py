@@ -57,10 +57,6 @@ class TestRecordIdentity:
         )
         assert sharded == oracle
 
-    def test_auto_resolves_to_batched_records(self, oracle):
-        auto = run_grid(SCHEMES, WORKS, PES, base_seed=11)
-        assert auto == oracle
-
     def test_single_cell_grid(self):
         ser = run_grid(["GP-DP"], [600], [16], base_seed=3, executor="serial")
         bat = run_grid(["GP-DP"], [600], [16], base_seed=3, executor="batched")
@@ -95,7 +91,7 @@ class TestPlanGrid:
 
 class TestExecutorSelection:
     def test_executor_registry(self):
-        assert GRID_EXECUTORS == ("auto", "serial", "process", "batched")
+        assert GRID_EXECUTORS == ("serial", "batched")
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ConfigError, match="executor"):
@@ -110,6 +106,8 @@ class TestExecutorSelection:
         assert hardened == oracle
 
     def test_process_requires_jobs(self):
+        """The old "process" executor is gone; the error points at n_jobs,
+        which is what picks the worker pool now."""
         with pytest.raises(ConfigError, match="n_jobs"):
             run_grid(SCHEMES[:1], [100], [4], executor="process")
 

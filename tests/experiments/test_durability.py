@@ -3,8 +3,8 @@
 The ISSUE 9 gate: a grid interrupted at an arbitrary cell and resumed
 from its write-ahead journal must yield records **bit-identical** to the
 uninterrupted serial oracle, for all six paper schemes, with the runtime
-sanitizer on, under both the per-cell process pool and the sharded
-batched executor.  Interruption is exercised two ways: deterministically
+sanitizer on, on the worker pool under both engines (one-cell serial
+shards and wider batched shards).  Interruption is exercised two ways: deterministically
 (a poison cell quarantines the sweep mid-way) and for real (a separate
 process is SIGKILLed mid-sweep and the journal replayed, torn tail and
 all).
@@ -24,6 +24,7 @@ from repro.errors import ConfigError, GridCellError
 from repro.experiments.journal import CellJournal
 from repro.experiments.runner import RetryPolicy, run_grid
 from repro.faults import GridChaos
+from repro.faults.chaos import _HANG_SECONDS
 from repro.obs import MetricsRegistry
 
 SCHEMES = list(PAPER_SCHEMES)  # all six: GP/nGP x S0.90/DP/DK
@@ -50,6 +51,10 @@ def oracle():
 def test_resume_requires_journal():
     with pytest.raises(ConfigError, match="journal"):
         run_grid(SCHEMES[:1], WORKS, PES, resume=True)
+
+
+def _counters(registry: MetricsRegistry) -> dict:
+    return registry.snapshot()["counters"]
 
 
 def test_journal_records_serial_grid(tmp_path, oracle):
@@ -84,16 +89,20 @@ class TestQuarantineResumeIdentity:
     resuming without the poison completes bit-identically."""
 
     def test_process_executor(self, tmp_path, oracle):
+        """The serial engine on the worker pool: one-cell shards."""
         path = tmp_path / "grid.journal"
+        failed = MetricsRegistry()
         with pytest.raises(GridCellError) as excinfo:
             _grid(
-                executor="process",
+                executor="serial",
                 n_jobs=2,
                 journal=path,
+                registry=failed,
                 retry=NO_RETRY,
                 chaos=GridChaos(index=2, kind="raise", attempts=(0,)),
             )
         err = excinfo.value
+        assert _counters(failed)["grid.quarantined"] == 1
         # Graceful degradation: all five healthy cells' records survive,
         # both on the exception and durably in the journal.
         assert len(err.completed) == len(oracle) - 1
@@ -103,7 +112,7 @@ class TestQuarantineResumeIdentity:
 
         registry = MetricsRegistry()
         resumed = _grid(
-            executor="process",
+            executor="serial",
             n_jobs=2,
             journal=path,
             resume=True,
@@ -115,15 +124,18 @@ class TestQuarantineResumeIdentity:
 
     def test_batched_executor_whole_shard_replay(self, tmp_path, oracle):
         path = tmp_path / "grid.journal"
+        failed = MetricsRegistry()
         with pytest.raises(GridCellError) as excinfo:
             _grid(
                 executor="batched",
                 n_jobs=2,
                 journal=path,
+                registry=failed,
                 retry=NO_RETRY,
                 chaos=GridChaos(index=2, kind="raise", attempts=(0,)),
             )
         err = excinfo.value
+        assert _counters(failed)["grid.quarantined"] == 3
         # Shards are all-or-nothing: the poisoned shard's three cells
         # are quarantined together, the healthy shard is journaled whole.
         assert err.quarantine.indices == (0, 1, 2)
@@ -145,48 +157,65 @@ class TestQuarantineResumeIdentity:
 
 
 class TestBatchedHardening:
-    """executor="batched" accepts timeout/chaos instead of refusing."""
+    """executor="batched" accepts timeout/chaos: its shards run on the
+    hardened worker pool."""
 
     def test_chaos_exit_respawns_and_matches_oracle(self, oracle):
+        registry = MetricsRegistry()
         records = _grid(
             executor="batched",
             n_jobs=2,
+            registry=registry,
             retry=FAST_RETRY,
             chaos=GridChaos(index=1, kind="exit", attempts=(0,)),
         )
         assert records == oracle
+        assert _counters(registry)["grid.retries_total"] >= 1
 
     def test_chaos_raise_retries_shard_and_matches_oracle(self, oracle):
+        registry = MetricsRegistry()
         records = _grid(
             executor="batched",
             n_jobs=2,
+            registry=registry,
             retry=FAST_RETRY,
             chaos=GridChaos(index=4, kind="raise", attempts=(0,)),
         )
         assert records == oracle
+        assert _counters(registry)["grid.retries_total"] == 1
 
     @pytest.mark.skipif(
         not hasattr(signal, "SIGALRM"), reason="watchdog needs SIGALRM"
     )
     def test_shard_watchdog_times_out_hung_shard(self, oracle):
+        registry = MetricsRegistry()
+        t0 = time.monotonic()
         records = _grid(
             executor="batched",
             n_jobs=2,
+            registry=registry,
             timeout=0.5,  # watchdog = 0.5s x shard size
             retry=FAST_RETRY,
             chaos=GridChaos(index=0, kind="hang", attempts=(0,)),
         )
+        elapsed = time.monotonic() - t0
         assert records == oracle
+        # The watchdog cut the hang short instead of waiting it out.
+        assert _counters(registry)["grid.retries_total"] >= 1
+        assert elapsed < _HANG_SECONDS / 4
 
     def test_hardened_single_process_shard(self, oracle):
         # No n_jobs: hardening still routes through one pooled shard, so
         # an injected exit kills a worker, never the test process.
+        registry = MetricsRegistry()
         records = _grid(
             executor="batched",
+            registry=registry,
             retry=FAST_RETRY,
             chaos=GridChaos(index=3, kind="exit", attempts=(0,)),
         )
         assert records == oracle
+        assert _counters(registry)["grid.retries_total"] == 1
 
 
 def test_broken_pool_respawn_with_journal_regression(tmp_path, oracle):
@@ -194,15 +223,18 @@ def test_broken_pool_respawn_with_journal_regression(tmp_path, oracle):
     the killed worker's in-flight cells rerun with their original seeds
     and every cell ends up journaled exactly once."""
     path = tmp_path / "grid.journal"
+    registry = MetricsRegistry()
     records = _grid(
-        executor="process",
+        executor="serial",
         n_jobs=2,
         journal=path,
+        registry=registry,
         retry=FAST_RETRY,
         chaos=GridChaos(index=2, kind="exit", attempts=(0,)),
     )
     assert records == oracle
     assert len(CellJournal(path)) == len(oracle)
+    assert _counters(registry)["grid.retries_total"] >= 1
 
 
 @pytest.mark.skipif(os.name != "posix", reason="needs SIGKILL")
@@ -237,6 +269,7 @@ def test_sigkill_mid_sweep_resume_is_bit_identical(tmp_path):
     proc.wait()
 
     journal = CellJournal(path)  # replays, truncating any torn tail
+    assert len(journal) >= 1  # the resume below has cells to skip
     oracle = run_grid(
         schemes, works, pes, base_seed=seed, executor="serial", sanitize=True
     )

@@ -5,22 +5,19 @@ exercising each failure path; in every recoverable case the final
 records must be **identical** to an undisturbed serial grid, because
 retries rerun the cell with the same ``cell_seed``.
 
-The executor is pinned to ``"process"`` where chaos/timeout hardening is
-exercised on the per-cell pool (``"auto"`` would warn about its batched
-fallback — that warning has its own tests below); the batched shard
-pool's hardening is covered in ``test_durability.py``.
+These tests run the default serial engine, whose pool ships one-cell
+shards; the batched engine's wider shards are covered in
+``test_durability.py``.  Every fault test also asserts the counter that
+proves its path ran (``grid.retries_total``, ``grid.quarantined``), so a
+chaos hook that never fires cannot pass.
 """
 
 import signal
+import time
 
 import pytest
 
-from repro.errors import (
-    ConfigError,
-    ExecutorFallbackWarning,
-    GridCellError,
-    TimeoutUnenforcedWarning,
-)
+from repro.errors import ConfigError, GridCellError, TimeoutUnenforcedWarning
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import (
     GridFailure,
@@ -29,6 +26,7 @@ from repro.experiments.runner import (
     run_grid,
 )
 from repro.faults import GridChaos
+from repro.faults.chaos import _HANG_SECONDS
 from repro.obs import MetricsRegistry
 
 SCHEMES = ["nGP-S0.75", "GP-DP"]
@@ -44,50 +42,85 @@ def serial_oracle():
     return run_grid(SCHEMES, WORKS, PES, base_seed=7)
 
 
+def _retries(registry: MetricsRegistry) -> float:
+    return registry.counter("grid.retries_total").value
+
+
 def test_worker_raise_is_retried_with_same_seed(serial_oracle):
+    registry = MetricsRegistry()
     records = run_grid(
         SCHEMES,
         WORKS,
         PES,
         base_seed=7,
         n_jobs=2,
-        executor="process",
+        registry=registry,
         retry=FAST_RETRY,
         chaos=GridChaos(index=1, kind="raise", attempts=(0,)),
     )
     assert records == serial_oracle
+    assert _retries(registry) == 1
 
 
 def test_worker_death_respawns_pool_and_requeues(serial_oracle):
     # kind="exit" hard-kills the worker process: every in-flight future
     # breaks with BrokenProcessPool, the pool is respawned, and all
     # unfinished cells rerun with their original seeds.
+    registry = MetricsRegistry()
     records = run_grid(
         SCHEMES,
         WORKS,
         PES,
         base_seed=7,
         n_jobs=2,
-        executor="process",
+        registry=registry,
         retry=FAST_RETRY,
         chaos=GridChaos(index=2, kind="exit", attempts=(0,)),
     )
     assert records == serial_oracle
+    assert _retries(registry) >= 1
 
 
+@pytest.mark.skipif(
+    not hasattr(signal, "SIGALRM"), reason="watchdog needs SIGALRM"
+)
 def test_hung_cell_times_out_and_retries(serial_oracle):
+    registry = MetricsRegistry()
+    t0 = time.monotonic()
     records = run_grid(
         SCHEMES,
         WORKS,
         PES,
         base_seed=7,
         n_jobs=2,
-        executor="process",
+        registry=registry,
         timeout=5.0,
         retry=FAST_RETRY,
         chaos=GridChaos(index=3, kind="hang", attempts=(0,)),
     )
+    elapsed = time.monotonic() - t0
     assert records == serial_oracle
+    # The watchdog cut the hang short instead of waiting it out.
+    assert _retries(registry) >= 1
+    assert elapsed < _HANG_SECONDS / 4
+
+
+def test_serial_engine_hardening_runs_on_the_pool(serial_oracle):
+    """chaos on the default serial engine without n_jobs is not ignored:
+    it routes the grid through the worker pool, fires, and is retried."""
+    registry = MetricsRegistry()
+    records = run_grid(
+        SCHEMES,
+        WORKS,
+        PES,
+        base_seed=7,
+        executor="serial",
+        registry=registry,
+        retry=FAST_RETRY,
+        chaos=GridChaos(index=0, kind="raise", attempts=(0,)),
+    )
+    assert records == serial_oracle
+    assert _retries(registry) == 1
 
 
 def test_persistent_failure_raises_structured_report():
@@ -99,7 +132,6 @@ def test_persistent_failure_raises_structured_report():
             PES,
             base_seed=7,
             n_jobs=2,
-            executor="process",
             registry=registry,
             retry=RetryPolicy(
                 max_retries=1, base_delay=0.001, max_delay=0.002
@@ -171,43 +203,6 @@ class TestRetryPolicy:
             d = policy.delay(99, attempt)
             full = min(1.0, 0.08 * 2**attempt)
             assert full * 0.5 <= d <= full
-
-
-class TestFallbackVisibility:
-    def test_auto_hardening_fallback_warns_and_records(self):
-        registry = MetricsRegistry()
-        with pytest.warns(ExecutorFallbackWarning, match="timeout/chaos"):
-            run_grid(
-                SCHEMES[:1],
-                [400],
-                [8],
-                base_seed=1,
-                timeout=30.0,
-                registry=registry,
-            )
-        snap = registry.snapshot()["counters"]
-        assert snap["grid.executor{path=serial}"] == 1
-        assert snap["grid.executor_fallback{reason=hardening}"] == 1
-
-    def test_auto_unbatchable_fallback_warns_with_scheme_name(self):
-        from repro.baselines.fess_fegs import fess_scheme
-
-        registry = MetricsRegistry()
-        with pytest.warns(ExecutorFallbackWarning, match="FESS"):
-            run_grid([fess_scheme()], [400], [8], registry=registry)
-        snap = registry.snapshot()["counters"]
-        assert snap["grid.executor_fallback{reason=unbatchable-scheme}"] == 1
-
-    def test_batched_fast_path_does_not_warn(self):
-        import warnings as _warnings
-
-        registry = MetricsRegistry()
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", ExecutorFallbackWarning)
-            run_grid(SCHEMES[:1], [400], [8], base_seed=1, registry=registry)
-        snap = registry.snapshot()["counters"]
-        assert snap["grid.executor{path=batched}"] == 1
-        assert not any(k.startswith("grid.executor_fallback") for k in snap)
 
 
 class TestTimeoutEnforcement:

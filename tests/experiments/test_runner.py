@@ -112,15 +112,9 @@ class TestRunGridParallel:
         assert a == b
 
     def test_unroundtrippable_scheme_rejected(self):
-        from repro.errors import ExecutorFallbackWarning
-
         with pytest.raises(ValueError, match="serial"):
-            with pytest.warns(ExecutorFallbackWarning):
-                run_grid([fess_scheme()], [2_000], [16], n_jobs=2)
+            run_grid([fess_scheme()], [2_000], [16], n_jobs=2)
 
     def test_unroundtrippable_scheme_fine_serially(self):
-        from repro.errors import ExecutorFallbackWarning
-
-        with pytest.warns(ExecutorFallbackWarning, match="FESS"):
-            records = run_grid([fess_scheme()], [2_000], [16])
+        records = run_grid([fess_scheme()], [2_000], [16])
         assert len(records) == 1
