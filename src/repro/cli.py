@@ -108,11 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
         # Mirrors kernels.dispatch.BACKENDS; kept literal so building the
         # parser stays import-light (locked by a CLI test).
         "--kernel-backend", default="numpy",
-        choices=["auto", "numpy", "fused", "jit"],
-        help="expand-cycle kernel tier (puzzle only — a non-numpy tier "
-        "switches the search to the arena backend, which needs the "
-        "puzzle's vectorizable state).  'jit' needs numba and degrades "
-        "to 'fused' without it (default: numpy)",
+        choices=["numpy", "fused"],
+        help="expand-cycle kernel tier (puzzle only — 'fused' switches "
+        "the search to the arena backend, which needs the puzzle's "
+        "vectorizable state; default: numpy)",
     )
 
     xo = sub.add_parser("xo", help="Equation 18 optimal static trigger")
@@ -166,13 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="skip cells already recorded in --journal (bit-identical to "
         "an uninterrupted run)",
-    )
-    grid.add_argument(
-        "--kernel-backend", default="numpy",
-        choices=["auto", "numpy", "fused", "jit"],
-        help="kernel tier for the batched engine's mega-arena "
-        "(the serial engine ignores it; every tier is "
-        "record-identical; default: numpy)",
     )
 
     bench = sub.add_parser(
@@ -246,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--kernel-backend", default="numpy",
-        choices=["auto", "numpy", "fused", "jit"],
+        choices=["numpy", "fused"],
         help="expand-cycle kernel tier for the arena backend "
         "(default: numpy; the list backend is the oracle and only "
         "accepts numpy)",
@@ -429,7 +421,6 @@ def _print_fault_report(metrics: object) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from repro.kernels.dispatch import jit_note, resolve_backend
     from repro.search.branch_and_bound import ParallelDFBB
     from repro.search.parallel import ParallelIDAStar
 
@@ -445,21 +436,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from repro.faults import FaultPlan
 
         faults = FaultPlan.from_spec(args.faults, args.pes)
-    kernel_backend = resolve_backend(args.kernel_backend)
-    if kernel_backend != "numpy" and args.problem != "puzzle":
+    kernel_backend = args.kernel_backend
+    if kernel_backend == "fused" and args.problem != "puzzle":
         print(
-            "repro solve: error: a non-numpy --kernel-backend needs the "
+            "repro solve: error: --kernel-backend fused needs the "
             "arena-backed search, which only the puzzle problem supports",
             file=sys.stderr,
         )
         return 2
-    if args.kernel_backend == "jit" and jit_note() is not None:
-        print(f"note: {jit_note()}")
-    # Non-numpy tiers run on the arena storage; numpy keeps the
+    # The fused tier runs on the arena storage; numpy keeps the
     # historical list-backend default.
     search_kwargs = dict(
         kernel_backend=kernel_backend,
-        backend="arena" if kernel_backend != "numpy" else "list",
+        backend="arena" if kernel_backend == "fused" else "list",
     )
     init = 0.85 if args.scheme.endswith(("DK", "DP")) else None
     if args.problem == "puzzle":
@@ -592,7 +581,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         records = run_grid(
             args.schemes, args.works, args.pes, base_seed=args.seed,
             n_jobs=args.jobs, registry=registry, executor=args.executor,
-            kernel_backend=args.kernel_backend,
             journal=args.journal, resume=args.resume,
         )
     except ConfigError as exc:
@@ -700,12 +688,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.scheduler import Scheduler
-    from repro.kernels.dispatch import resolve_backend
     from repro.obs import Profiler, profiled
     from repro.simd.machine import SimdMachine
     from repro.workmodel.stackmodel import StackWorkload
 
-    if args.backend == "list" and resolve_backend(args.kernel_backend) != "numpy":
+    if args.backend == "list" and args.kernel_backend != "numpy":
         print(
             "repro trace: error: --kernel-backend needs --backend arena "
             "(the list backend is the numpy-only oracle)",

@@ -10,9 +10,10 @@ cycle index of every LB phase — the raw series behind Figure 8.  The
 series live in *bounded* ring buffers (``maxlen`` entries each, newest
 kept) so a long ``run_grid`` cell cannot balloon host memory; pass
 ``maxlen=None`` as the explicit escape hatch when a full-length series
-is worth the bytes, or attach a streaming
-:class:`~repro.obs.events.JsonlSink` to keep every sample at O(1)
-memory.  ``dropped_cycles`` always tells whether the window is complete.
+is worth the bytes, or give the scheduler an ``Observability`` bundle
+with a streaming :class:`~repro.obs.events.JsonlSink` — it receives
+every cycle as a :class:`~repro.obs.events.CycleEvent` at O(1) memory.
+``dropped_cycles`` always tells whether the window is complete.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.obs.events import CycleEvent, EventSink
 from repro.simd.machine import TimeLedger
 
 __all__ = ["Trace", "RunMetrics", "DEFAULT_TRACE_MAXLEN"]
@@ -37,12 +37,6 @@ class Trace:
     maxlen:
         Ring capacity of each series — the most recent ``maxlen`` cycles
         are retained.  ``None`` is the explicit unbounded escape hatch.
-    sink:
-        Optional :class:`~repro.obs.events.EventSink` that additionally
-        receives every recorded cycle as a typed
-        :class:`~repro.obs.events.CycleEvent` (e.g. a ``JsonlSink`` so
-        long runs keep their full series on disk while the in-memory
-        ring stays bounded).
 
     Attributes
     ----------
@@ -60,15 +54,10 @@ class Trace:
     (lint rule R005 flags direct series appends outside ``repro.obs``).
     """
 
-    def __init__(
-        self,
-        maxlen: int | None = DEFAULT_TRACE_MAXLEN,
-        sink: EventSink | None = None,
-    ) -> None:
+    def __init__(self, maxlen: int | None = DEFAULT_TRACE_MAXLEN) -> None:
         if maxlen is not None and maxlen < 1:
             raise ValueError(f"trace maxlen must be >= 1 or None, got {maxlen}")
         self.maxlen = maxlen
-        self.sink = sink
         self._busy: deque[int] = deque(maxlen=maxlen)
         self._expanding: deque[int] = deque(maxlen=maxlen)
         self._r1: deque[float] = deque(maxlen=maxlen)
@@ -84,12 +73,7 @@ class Trace:
         self._expanding.append(expanding)
         self._r1.append(r1)
         self._r2.append(r2)
-        cycle = self.n_cycles_recorded
-        self.n_cycles_recorded = cycle + 1
-        if self.sink is not None:
-            self.sink.emit(
-                CycleEvent(cycle=cycle, busy=busy, expanding=expanding, r1=r1, r2=r2)
-            )
+        self.n_cycles_recorded += 1
 
     def record_lb(self, cycle_index: int) -> None:
         self._lb.append(cycle_index)

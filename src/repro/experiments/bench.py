@@ -14,9 +14,8 @@ numbers:
   bit-identity check between the list (batched) and arena runs.
 - **kernel tiers** — the same warmed ``expand_cycle`` measured across
   the :mod:`repro.kernels` dispatch tiers on the arena backend
-  (``numpy`` reference vs ``fused`` zero-allocation vs ``jit`` when
-  numba is importable), with an end-state identity check across tiers
-  and the ``jit_note`` explaining the fallback on numba-less hosts.
+  (``numpy`` reference vs ``fused`` zero-allocation), with an
+  end-state identity check across tiers.
 - **grid** — a small static-trigger isoefficiency grid (Figure 4's
   shape) executed serially and with ``run_grid(n_jobs=...)``, plus a
   record-identity check between the two.
@@ -28,8 +27,6 @@ covers the real 15-puzzle workload the same way:
   throughput per backend (plain list, flat arena) from identically
   warmed stack states, with backend bit-identity (per-PE counts,
   expansions, next bound) asserted on the timed states in the same run.
-  (The ``list-memo`` variant was retired: it benched *slower* than the
-  plain list — see :mod:`repro.search.memo`.)
 - **full parallel IDA*** — a complete run on a fixed bench instance per
   backend, asserting expansion-count/bound/solution identity across
   backends and against serial IDA*.
@@ -258,20 +255,19 @@ def bench_kernel_tiers(
     """Arena ``expand_cycle`` throughput per :mod:`repro.kernels` tier.
 
     Times the identically warmed arena workload under each dispatchable
-    tier — ``numpy`` (the reference), ``fused`` (the zero-allocation
-    workspace path) and ``jit`` when numba is importable — and asserts
-    the end states (expansion count, per-PE stack windows, RNG position)
-    are bit-identical across tiers: the speedup only means something if
-    every tier did exactly the same work.  Best-of-``repeats`` per tier
+    tier — ``numpy`` (the reference) and ``fused`` (the zero-allocation
+    workspace path) — and asserts the end states (expansion count, per-PE
+    stack windows, RNG position) are bit-identical across tiers: the
+    speedup only means something if every tier did exactly the same work.  Best-of-``repeats`` per tier
     (repeat 0 untimed warmup).
     """
-    from repro.kernels.dispatch import HAVE_NUMBA, available_backends, jit_note
+    from repro.kernels.dispatch import BACKENDS
 
     _check_repeats(repeats)
     work = n_pes * work_per_pe
     tiers: dict[str, dict] = {}
     end_states: dict[str, tuple] = {}
-    for tier in available_backends():
+    for tier in BACKENDS:
         best: dict | None = None
         for rep in range(repeats + 1):
             workload = _warmed_workload(
@@ -317,8 +313,6 @@ def bench_kernel_tiers(
         "warm_cycles": warm_cycles,
         "time_cycles": time_cycles,
         "repeats": repeats,
-        "jit_available": HAVE_NUMBA,
-        "jit_note": jit_note(),
         "tiers": tiers,
         "speedup_fused_vs_numpy": (
             tiers["fused"]["nodes_per_s"] / tiers["numpy"]["nodes_per_s"]
@@ -580,8 +574,7 @@ def bench_search_full(
     Runs the fixed bench instance to optimality on both backends
     (best-of-``repeats``, repeat 0 untimed warmup), asserts (in-run)
     that expansions, bounds and solutions are identical across backends
-    *and* match serial IDA* node for node, and reports the list
-    backend's heuristic-memo hit rate.
+    *and* match serial IDA* node for node.
     """
     from repro.problems.fifteen_puzzle import BENCH_INSTANCES
     from repro.search.ida_star import ida_star
@@ -757,8 +750,6 @@ def render_bench(report: dict) -> str:
         f"  fused speedup vs numpy: {fused['speedup_fused_vs_numpy']:.2f}x;"
         f" records identical: {fused['records_identical']}"
     )
-    if fused["jit_note"]:
-        lines.append(f"  note: {fused['jit_note']}")
     lines += [
         f"full run @ P={full['n_pes']}, W={full['total_work']}: "
         f"arena {full['seconds']['arena']:.2f}s, "

@@ -320,7 +320,6 @@ def _run_cells(
     cost_model: CostModel | None,
     splitter: WorkSplitter | None,
     sanitize: bool,
-    kernel_backend: str,
     on_done: Callable[[CellPlan, RunMetrics], None] | None = None,
 ) -> dict[int, RunMetrics]:
     """Run planned cells in this process on ``executor``'s engine.
@@ -338,7 +337,6 @@ def _run_cells(
             cost_model=cost_model,
             splitter=splitter,
             sanitize=sanitize,
-            kernel_backend=kernel_backend,
             on_cell_done=on_done,
         )
         plans = [p for p in plans if p.index not in results]
@@ -372,7 +370,7 @@ def _run_shard(payload: tuple) -> list[tuple[int, RunMetrics]]:
 
     Schemes travel as spec strings (Scheme factories close over locals
     and do not pickle) and are rebuilt with ``make_scheme`` here, once
-    per shard; ``engine`` (cost model, splitter, sanitize, kernel tier)
+    per shard; ``engine`` (cost model, splitter, sanitize)
     pickles as-is.  The shard runs on ``executor``'s engine
     (:func:`_run_cells`).
 
@@ -507,7 +505,6 @@ def run_grid(
     chaos: GridChaos | None = None,
     registry: MetricsRegistry | None = None,
     executor: str = "serial",
-    kernel_backend: str = "numpy",
     sanitize: bool = False,
     journal: "str | Path | None" = None,
     resume: bool = False,
@@ -581,11 +578,6 @@ def run_grid(
     Recording happens in the parent process in cell-index order on
     every path, so all paths produce identical snapshots.
 
-    ``kernel_backend`` selects the kernel tier the batched engine's
-    mega-arena and matchers run on (``"numpy"`` reference by default,
-    ``"fused"``/``"jit"``/``"auto"`` — see :mod:`repro.kernels`); the
-    serial engine ignores it, and every tier is record-identical.
-
     ``sanitize`` turns on the runtime invariant checks in every cell
     (either engine, in-process or pooled); sanitized records are
     bit-identical to unsanitized ones.
@@ -647,7 +639,6 @@ def run_grid(
         "cost_model": cost_model,
         "splitter": splitter,
         "sanitize": sanitize,
-        "kernel_backend": kernel_backend,
     }
     retries = 0
     if pooled and todo:

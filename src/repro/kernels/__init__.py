@@ -1,41 +1,33 @@
-"""Compiled kernel tier: registry-dispatched hot loops in three backends.
+"""Kernel layer: registry-dispatched hot loops in two tiers.
 
-``repro.kernels`` extracts the repo's hot kernels — stack and search
-``expand_cycle``, the segmented sum-scans, the matcher rendezvous and
-the :class:`~repro.workmodel.mega.MegaArena` grid kernels — behind one
-``(name, backend)`` registry:
+``repro.kernels`` holds the repo's hot kernels — stack and search
+``expand_cycle`` and the :class:`~repro.workmodel.mega.MegaArena` grid
+kernels — behind one ``(name, backend)`` registry:
 
-- ``backend="numpy"`` — the reference tier (the exact historical code);
+- ``backend="numpy"`` — the reference tier (the exact historical code),
+  registered for every kernel;
 - ``backend="fused"`` — zero-allocation pure numpy over a per-workload
-  :class:`KernelWorkspace`;
-- ``backend="jit"`` — numba ``@njit`` row loops when numba is
-  importable, graceful fallback to ``"fused"`` when not;
-- ``backend="auto"`` — the best available tier.
+  :class:`KernelWorkspace`, registered only for the stack and search
+  ``expand_cycle`` kernels, where it carries a measured win.
 
-See ``docs/performance.md`` ("Kernel tiers") for dispatch rules,
+See ``docs/performance.md`` ("Kernel tiers") for the dispatch rules,
 workspace lifetime and the bit-identity gating story.
 """
 
 from repro.kernels.dispatch import (
     BACKENDS,
-    HAVE_NUMBA,
-    available_backends,
+    check_backend,
     get_kernel,
-    jit_note,
     register,
     registered_kernels,
-    resolve_backend,
 )
 from repro.kernels.workspace import KernelWorkspace
 
 __all__ = [
     "BACKENDS",
-    "HAVE_NUMBA",
     "KernelWorkspace",
-    "available_backends",
+    "check_backend",
     "get_kernel",
-    "jit_note",
     "register",
     "registered_kernels",
-    "resolve_backend",
 ]

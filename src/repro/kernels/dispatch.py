@@ -1,26 +1,22 @@
-"""Backend registry and dispatch for the compiled kernel tier.
+"""Tier registry and dispatch for the kernel layer.
 
-Every hot kernel in the repo — stack/search ``expand_cycle``, the mega
-grid kernels, the sum-scans and the matcher rendezvous — is registered
-here under a ``(name, backend)`` key:
+The hot kernels — stack/search ``expand_cycle`` and the mega grid
+kernels — are registered here under a ``(name, tier)`` key:
 
 - ``"numpy"`` — the reference tier: the exact code the workloads ran
   before this layer existed, one allocation-happy numpy call per step.
-  Always present; every other tier is gated bit-identical to it (and
+  Every kernel has it; the fused tier is gated bit-identical to it (and
   through it to the list oracle).
 - ``"fused"`` — the zero-allocation pure-numpy tier: ``out=``-based
   scans and wheres over a :class:`~repro.kernels.workspace.KernelWorkspace`
-  of preallocated scratch, fused mask+count+scan passes, pooled arena
-  growth, and a sparse-frontier scalar fast path for nearly-idle cycles.
-- ``"jit"`` — numba ``@njit`` compiled row loops, registered only when
-  numba imports (``HAVE_NUMBA``).  Tiers a kernel does not implement
-  fall through the chain ``jit -> fused -> numpy``, so asking for
-  ``"jit"`` always resolves to *something* runnable.
+  of preallocated scratch, pooled arena growth, and a sparse-frontier
+  scalar fast path for nearly-idle cycles.  Only the two expand cycles
+  have it — the tiers with a measured win (``docs/performance.md``).
 
-``backend="auto"`` resolves to the best available tier (``jit`` with
-numba installed, else ``fused``); asking for ``"jit"`` without numba
-falls back to ``"fused"`` gracefully, and :func:`jit_note` returns the
-one-line explanation ``repro bench`` prints in that case.
+:func:`get_kernel` is an exact lookup: there is no fallback between
+tiers, so asking for a tier a kernel does not implement is a
+``KeyError``, and asking for a tier that does not exist is a
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -30,70 +26,27 @@ from typing import Callable
 
 from repro.errors import ConfigError
 
-__all__ = [
-    "BACKENDS",
-    "HAVE_NUMBA",
-    "available_backends",
-    "resolve_backend",
-    "register",
-    "get_kernel",
-    "registered_kernels",
-    "jit_note",
-]
+__all__ = ["BACKENDS", "check_backend", "register", "get_kernel", "registered_kernels"]
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - ImportError on the lean image
-    HAVE_NUMBA = False
-
-#: Dispatchable tiers, slowest to fastest.
-BACKENDS: tuple[str, ...] = ("numpy", "fused", "jit")
-
-#: Lookup order per requested tier — a kernel missing from a tier falls
-#: through to the next one down.
-_FALLBACK: dict[str, tuple[str, ...]] = {
-    "numpy": ("numpy",),
-    "fused": ("fused", "numpy"),
-    "jit": ("jit", "fused", "numpy"),
-}
+#: Dispatchable tiers: the reference first, then the fast one.
+BACKENDS: tuple[str, ...] = ("numpy", "fused")
 
 #: Implementation modules; imported lazily on first lookup so importing
 #: ``repro.kernels.dispatch`` alone stays cheap and cycle-free.
 _IMPL_MODULES = (
-    "repro.kernels.scans",
     "repro.kernels.stack",
     "repro.kernels.search",
     "repro.kernels.mega",
-    "repro.kernels.matching",
-    "repro.kernels.jit",
 )
 
 _REGISTRY: dict[tuple[str, str], Callable] = {}
 _LOADED = False
 
 
-def available_backends() -> tuple[str, ...]:
-    """The tiers that can actually run on this interpreter."""
-    return BACKENDS if HAVE_NUMBA else BACKENDS[:2]
-
-
-def resolve_backend(backend: str) -> str:
-    """Normalize a requested backend to a runnable tier.
-
-    ``"auto"`` picks the best available; ``"jit"`` without numba degrades
-    to ``"fused"`` (the documented graceful fallback).  Unknown names
-    raise :class:`~repro.errors.ConfigError`.
-    """
-    if backend == "auto":
-        return "jit" if HAVE_NUMBA else "fused"
+def check_backend(backend: str) -> str:
+    """``backend`` itself when it names a tier, else :class:`ConfigError`."""
     if backend not in BACKENDS:
-        raise ConfigError(
-            f"kernel backend must be one of {('auto',) + BACKENDS}, got {backend!r}"
-        )
-    if backend == "jit" and not HAVE_NUMBA:
-        return "fused"
+        raise ConfigError(f"kernel backend must be one of {BACKENDS}, got {backend!r}")
     return backend
 
 
@@ -114,21 +67,19 @@ def _ensure_loaded() -> None:
         import_module(mod)
 
 
-def get_kernel(name: str, backend: str = "auto") -> Callable:
-    """The best registered implementation of ``name`` at ``backend``.
+def get_kernel(name: str, backend: str) -> Callable:
+    """The ``backend`` tier of kernel ``name``.
 
-    Walks the fallback chain (``jit -> fused -> numpy``) so partially
-    implemented kernels still dispatch; raises ``KeyError`` only when no
-    tier of ``name`` exists at all.
+    Raises :class:`ConfigError` for an unknown tier and ``KeyError`` when
+    ``name`` has no implementation at that tier.
     """
-    tier = resolve_backend(backend)
+    check_backend(backend)
     _ensure_loaded()
-    for candidate in _FALLBACK[tier]:
-        fn = _REGISTRY.get((name, candidate))
-        if fn is not None:
-            return fn
-    known = sorted({n for n, _ in _REGISTRY})
-    raise KeyError(f"no kernel registered under {name!r} (known: {known})")
+    fn = _REGISTRY.get((name, backend))
+    if fn is None:
+        known = registered_kernels()
+        raise KeyError(f"no {backend!r} kernel registered under {name!r} (known: {known})")
+    return fn
 
 
 def registered_kernels() -> dict[str, tuple[str, ...]]:
@@ -138,13 +89,3 @@ def registered_kernels() -> dict[str, tuple[str, ...]]:
     for kname, backend in sorted(_REGISTRY):
         out.setdefault(kname, []).append(backend)
     return {k: tuple(v) for k, v in out.items()}
-
-
-def jit_note() -> str | None:
-    """One-line bench/CLI note when the jit tier is unavailable."""
-    if HAVE_NUMBA:
-        return None
-    return (
-        "numba is not installed: backend='jit' falls back to the fused "
-        "numpy tier (pip install numba to enable the compiled tier)"
-    )

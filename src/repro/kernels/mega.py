@@ -1,18 +1,11 @@
-"""MegaArena grid kernels (numpy reference + fused tiers).
+"""MegaArena grid kernels (numpy reference tier).
 
 The batched grid executor advances every cell with one full-width
 ``expand_all`` plus segmented busy/non-idle reductions per cycle.  The
-``"numpy"`` tier below is the exact pre-dispatch arena method body; the
-``"fused"`` tier routes the boolean mask, its int64 widening and the
-per-cell reduction through workspace scratch so a steady-state mega
-cycle allocates nothing.
-
-Fused results are *borrowed* workspace views (valid until the next call
-of the same kernel on the same workspace); the executor consumes every
-count vector within the cycle that produced it, which the batched-vs-
-serial identity suite locks in.  Each kernel uses its own scratch names
-so expand counts, busy counts and non-idle counts can coexist within one
-cycle.
+bodies below are the exact pre-dispatch arena method bodies; each
+returns a freshly allocated per-cell count vector.  They sit in the
+registry so the kernel layer has one place where every hot loop can be
+looked up and timed.
 """
 
 from __future__ import annotations
@@ -20,22 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.dispatch import register
-from repro.kernels.workspace import KernelWorkspace
 
-__all__ = [
-    "mega_expand_numpy",
-    "mega_expand_fused",
-    "mega_busy_numpy",
-    "mega_busy_fused",
-    "mega_nonzero_numpy",
-    "mega_nonzero_fused",
-    "mega_remaining_numpy",
-    "mega_remaining_fused",
-]
+__all__ = ["mega_expand_numpy", "mega_busy_numpy", "mega_nonzero_numpy", "mega_remaining_numpy"]
 
 
-def mega_expand_numpy(work, starts, expanded, ws=None) -> np.ndarray:  # repro: kernel
-    """Reference tier: one unmasked full-width expansion cycle, all cells."""
+def mega_expand_numpy(work, starts, expanded) -> np.ndarray:  # repro: kernel
+    """One unmasked full-width expansion cycle, all cells."""
     active = work > 0
     counts = np.add.reduceat(active.astype(np.int64), starts)
     np.subtract(work, 1, out=work, where=active)
@@ -43,81 +26,22 @@ def mega_expand_numpy(work, starts, expanded, ws=None) -> np.ndarray:  # repro: 
     return counts
 
 
-def mega_expand_fused(work, starts, expanded, ws: KernelWorkspace) -> np.ndarray:  # repro: kernel
-    """Fused tier: scratch-backed mask + widen + reduceat, same stores.
-
-    Full-width and unmasked across cells; the returned per-cell counts
-    are a borrowed workspace view.
-    """
-    active = ws.scratch("mega.active", len(work), dtype=bool)
-    np.greater(work, 0, out=active)
-    ibuf = ws.scratch("mega.ibuf", len(work))
-    np.copyto(ibuf, active)
-    counts = ws.scratch("mega.counts", len(starts))
-    np.add.reduceat(ibuf, starts, out=counts)
-    np.subtract(work, 1, out=work, where=active)
-    np.add(expanded, counts, out=expanded)
-    return counts
-
-
-def mega_busy_numpy(work, starts, ws=None) -> np.ndarray:  # repro: kernel
-    """Reference tier: per-cell busy (``work >= 2``) PE counts."""
+def mega_busy_numpy(work, starts) -> np.ndarray:  # repro: kernel
+    """Per-cell busy (``work >= 2``) PE counts."""
     return np.add.reduceat((work > 1).astype(np.int64), starts)
 
 
-def mega_busy_fused(work, starts, ws: KernelWorkspace) -> np.ndarray:  # repro: kernel
-    """Fused tier: per-cell busy counts into scratch (borrowed view).
-
-    Full-width read-only reduction over the unmasked flat axis.
-    """
-    mask = ws.scratch("mega.busy_mask", len(work), dtype=bool)
-    np.greater(work, 1, out=mask)
-    ibuf = ws.scratch("mega.busy_ibuf", len(work))
-    np.copyto(ibuf, mask)
-    counts = ws.scratch("mega.busy", len(starts))
-    np.add.reduceat(ibuf, starts, out=counts)
-    return counts
-
-
-def mega_nonzero_numpy(work, starts, ws=None) -> np.ndarray:  # repro: kernel
-    """Reference tier: per-cell non-idle (``work >= 1``) PE counts."""
+def mega_nonzero_numpy(work, starts) -> np.ndarray:  # repro: kernel
+    """Per-cell non-idle (``work >= 1``) PE counts."""
     return np.add.reduceat((work > 0).astype(np.int64), starts)
 
 
-def mega_nonzero_fused(work, starts, ws: KernelWorkspace) -> np.ndarray:  # repro: kernel
-    """Fused tier: per-cell non-idle counts into scratch (borrowed view).
-
-    Full-width read-only reduction over the unmasked flat axis.
-    """
-    mask = ws.scratch("mega.nz_mask", len(work), dtype=bool)
-    np.greater(work, 0, out=mask)
-    ibuf = ws.scratch("mega.nz_ibuf", len(work))
-    np.copyto(ibuf, mask)
-    counts = ws.scratch("mega.nonzero", len(starts))
-    np.add.reduceat(ibuf, starts, out=counts)
-    return counts
-
-
-def mega_remaining_numpy(work, starts, ws=None) -> np.ndarray:  # repro: kernel
-    """Reference tier: per-cell unexpanded node totals."""
+def mega_remaining_numpy(work, starts) -> np.ndarray:  # repro: kernel
+    """Per-cell unexpanded node totals."""
     return np.add.reduceat(work, starts)
 
 
-def mega_remaining_fused(work, starts, ws: KernelWorkspace) -> np.ndarray:  # repro: kernel
-    """Fused tier: per-cell totals into scratch (borrowed view).
-
-    Full-width read-only reduction over the unmasked flat axis.
-    """
-    counts = ws.scratch("mega.remaining", len(starts))
-    np.add.reduceat(work, starts, out=counts)
-    return counts
-
-
 register("mega.expand_all", "numpy", mega_expand_numpy)
-register("mega.expand_all", "fused", mega_expand_fused)
 register("mega.busy_counts", "numpy", mega_busy_numpy)
-register("mega.busy_counts", "fused", mega_busy_fused)
 register("mega.nonzero_counts", "numpy", mega_nonzero_numpy)
-register("mega.nonzero_counts", "fused", mega_nonzero_fused)
 register("mega.remaining", "numpy", mega_remaining_numpy)
-register("mega.remaining", "fused", mega_remaining_fused)

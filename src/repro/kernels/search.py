@@ -1,4 +1,4 @@
-"""Search-workload expand-cycle kernels (numpy / fused / sparse rows).
+"""Search-workload expand-cycle kernels (numpy / fused tiers).
 
 One lock-step cycle of the real 15-puzzle search = pop every non-empty
 PE's top entry, goal-test it, generate its table-driven moves with the
@@ -15,13 +15,10 @@ generation order.  Three implementations share that contract:
   through ufunc ``out=``.  Below :data:`SPARSE_THRESHOLD` busy PEs it
   drops to the scalar row loop — at a nearly-idle frontier (the P=256
   full-IDA* tail) full-width numpy dispatch costs more than the work.
-- :func:`_expand_search_rows` — the scalar row loop itself, written in
-  numba-compatible style (plain loops, preallocated buffers, int
-  sentinels).  The jit tier (:mod:`repro.kernels.jit`) compiles this
-  very function with ``@njit``, so the code path the JIT runs is the
-  one the sparse path already exercises under the identity suite.
+- :func:`_expand_search_rows` — the fused tier's scalar row loop
+  itself (plain loops, preallocated buffers, int sentinels).
 
-All tiers are bit-identical to the list oracle across the six paper
+Both tiers are bit-identical to the list oracle across the six paper
 schemes with the sanitizer on (the cross-tier identity suite gates it).
 """
 
@@ -145,10 +142,9 @@ def _expand_search_rows(
 ):
     """Scalar row loop: pop + goal test + moves + push, one PE at a time.
 
-    Numba-compatible by construction (plain loops over the caller's
-    index set, preallocated ``parent`` row buffer, ``-1`` sentinel for
-    an unset next bound, results written into ``goal_depths``).  The
-    caller has already ensured per-PE capacity for the worst case (+3
+    Plain loops over the caller's index set, a preallocated ``parent``
+    row buffer, a ``-1`` sentinel for an unset next bound, results
+    written into ``goal_depths``.  The caller has already ensured per-PE capacity for the worst case (+3
     net entries) and owns all bookkeeping.  Returns
     ``(n_goals, next_bound)``.
 
@@ -202,10 +198,8 @@ def _expand_search_rows(
     return n_goals, next_bound
 
 
-def _expand_rows_driver(
-    wl: SearchWorkload, pes, ws: KernelWorkspace, rows_fn
-) -> int:
-    """Shared bookkeeping around a row-loop kernel (sparse and jit paths)."""
+def _expand_rows_driver(wl: SearchWorkload, pes, ws: KernelWorkspace) -> int:
+    """Bookkeeping around :func:`_expand_search_rows` (the sparse path)."""
     arena = wl._arena
     n = len(pes)
     # Worst case net growth is +3 per PE (pop one, push <= 4); ensure
@@ -216,7 +210,7 @@ def _expand_rows_driver(
     goal_depths = ws.scratch("search.rows.goals", n)
     parent = ws.scratch("search.rows.parent", arena.state_width, dtype=np.uint8)
     nb = wl.next_bound if wl.next_bound is not None else -1
-    n_goals, nb = rows_fn(
+    n_goals, nb = _expand_search_rows(
         arena.tiles,
         arena.meta,
         arena.top,
@@ -421,7 +415,7 @@ def search_expand_fused(wl: SearchWorkload, ws: KernelWorkspace) -> int:  # repr
         return 0
     if n <= SPARSE_THRESHOLD:
         wl._cached_counts = None
-        return _expand_rows_driver(wl, pes, ws, _expand_search_rows)
+        return _expand_rows_driver(wl, pes, ws)
     if n < DENSE_THRESHOLD:
         return search_expand_numpy(wl, ws)
     wl._cached_counts = None

@@ -40,14 +40,12 @@ KERNEL_MODULES: frozenset[str] = frozenset(
         "repro/search/arena.py",
         # The extracted kernel tier: every dispatchable implementation
         # module is kernel-scoped wholesale.  The support files around
-        # them (dispatch.py registry, workspace.py storage, jit.py's
-        # numba gate) are deliberately NOT — they hold no full-width
-        # array code for the dataflow rules to check.
-        "repro/kernels/scans.py",
+        # them (dispatch.py registry, workspace.py storage) are
+        # deliberately NOT — they hold no full-width array code for the
+        # dataflow rules to check.
         "repro/kernels/stack.py",
         "repro/kernels/search.py",
         "repro/kernels/mega.py",
-        "repro/kernels/matching.py",
     }
 )
 

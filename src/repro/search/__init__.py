@@ -9,8 +9,6 @@
   solutions up to the final bound, the paper's speedup-anomaly-free setup.
 - :mod:`repro.search.arena` — packed flat-array storage for the per-PE
   stacks: the vectorized ``backend="arena"`` of the parallel workload.
-- :mod:`repro.search.memo` — bounded heuristic memoization for the list
-  backend (hit/miss counters surfaced by the bench harness).
 - :mod:`repro.search.parallel` — the real-stacks SIMD workload (list and
   arena backends) and the parallel IDA* driver built on the core
   scheduler.
@@ -21,7 +19,6 @@
 
 from repro.search.problem import SearchProblem
 from repro.search.arena import SearchArena
-from repro.search.memo import HeuristicMemo
 from repro.search.stack import DFSStack, StackEntry
 from repro.search.serial import depth_bounded_dfs, SerialSearchResult
 from repro.search.ida_star import ida_star, IDAStarResult
@@ -50,7 +47,6 @@ __all__ = [
     "serial_dfbb",
     "SearchProblem",
     "SearchArena",
-    "HeuristicMemo",
     "DFSStack",
     "StackEntry",
     "depth_bounded_dfs",

@@ -70,7 +70,7 @@ class SearchArena:
         self.meta = np.zeros((n_pes, capacity, 4), dtype=np.int32)
         self.bottom = np.zeros(n_pes, dtype=np.int64)
         self.top = np.zeros(n_pes, dtype=np.int64)
-        # Optional KernelWorkspace: when set (fused/jit tiers), growth
+        # Optional KernelWorkspace: when set (fused tier), growth
         # leases pooled planes and compaction reuses the cached iota
         # instead of allocating fresh arrays every doubling.
         self.workspace = None

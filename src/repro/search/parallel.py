@@ -13,9 +13,7 @@ Two storage backends implement the same workload, mirroring the
 
 - ``backend="list"`` — one :class:`~repro.search.stack.DFSStack` per PE,
   expanded in a per-PE Python loop.  The transparent oracle; works with
-  any :class:`~repro.search.problem.SearchProblem`.  (The deprecated
-  :class:`~repro.search.memo.HeuristicMemo` ablation remains available
-  via ``heuristic_memo=True`` but benches slower than recomputing.)
+  any :class:`~repro.search.problem.SearchProblem`.
 - ``backend="arena"`` — all stacks packed into one
   :class:`~repro.search.arena.SearchArena`; a cycle pops every non-empty
   top, goal-tests, generates children from the problem's precomputed
@@ -53,14 +51,13 @@ from repro.core.metrics import RunMetrics
 from repro.core.scheduler import Scheduler
 from repro.faults.plan import FaultPlan
 from repro.faults.runtime import FaultRuntime
-from repro.kernels.dispatch import get_kernel, resolve_backend
+from repro.kernels.dispatch import check_backend, get_kernel
 from repro.kernels.workspace import KernelWorkspace
 from repro.obs import Observability
 from repro.obs.events import IterationEvent
 from repro.obs.profile import span
 from repro.obs.registry import record_run
 from repro.search.arena import BLANK_COL, G_COL, PREV_COL, SearchArena
-from repro.search.memo import HeuristicMemo
 from repro.search.problem import SearchProblem
 from repro.search.stack import DFSStack, StackEntry
 from repro.simd.cost import CostModel
@@ -109,17 +106,11 @@ class SearchWorkload:
         ``"list"`` (per-PE ``DFSStack`` oracle, any problem) or
         ``"arena"`` (flat vectorized storage, sliding puzzles with the
         Manhattan heuristic).
-    h_memo:
-        Optional :class:`~repro.search.memo.HeuristicMemo` the list
-        backend routes child-``h`` computations through (share one across
-        IDA* iterations to carry the cache over).  The arena backend
-        needs none and rejects it.
     kernel_backend:
         Expand-cycle kernel tier for the arena backend — ``"numpy"``
-        (reference, default), ``"fused"`` (zero-allocation workspace
-        path with a sparse-frontier fast path), ``"jit"`` (numba row
-        loop when available, else fused) or ``"auto"``.  The list
-        backend is the oracle and only accepts ``"numpy"``.
+        (reference, default) or ``"fused"`` (zero-allocation workspace
+        path with a sparse-frontier fast path).  The list backend is the
+        oracle and only accepts ``"numpy"``.
     workspace:
         Optional shared :class:`~repro.kernels.KernelWorkspace` (IDA*
         passes one across iterations); one is created per workload when
@@ -135,7 +126,6 @@ class SearchWorkload:
         split: str = "bottom",
         first_solution_only: bool = False,
         backend: str = "list",
-        h_memo: HeuristicMemo | None = None,
         kernel_backend: str = "numpy",
         workspace: KernelWorkspace | None = None,
     ) -> None:
@@ -149,7 +139,7 @@ class SearchWorkload:
         self.split = split
         self.first_solution_only = first_solution_only
         self.backend = backend
-        resolved = resolve_backend(kernel_backend)
+        resolved = check_backend(kernel_backend)
         if backend == "list" and resolved != "numpy":
             raise ValueError(
                 "the list backend is the oracle tier and only accepts "
@@ -174,11 +164,6 @@ class SearchWorkload:
         self._arena: SearchArena | None = None
         root = problem.initial_state()
         if backend == "arena":
-            if h_memo is not None:
-                raise ValueError(
-                    "h_memo applies to the list backend only; the arena "
-                    "updates h incrementally via the delta table"
-                )
             missing = [a for a in _ARENA_PROTOCOL if not hasattr(problem, a)]
             if missing:
                 raise TypeError(
@@ -192,7 +177,6 @@ class SearchWorkload:
                     "Manhattan heuristic only; construct the puzzle with "
                     "heuristic_name='manhattan'"
                 )
-            self._h = problem.heuristic
             self._move_table = problem.move_table()
             self._dist_table = problem.manhattan_table()
             self._goal_row = problem.goal_row()
@@ -205,9 +189,8 @@ class SearchWorkload:
                 meta_row = np.array([0, h0, blank, prev], dtype=np.int32)
                 self._arena.push_root(0, tiles_row, meta_row)
         else:
-            self._h = h_memo if h_memo is not None else problem.heuristic
             self._stacks = [DFSStack() for _ in range(self.n_pes)]
-            if self._h(root) <= self.bound:
+            if problem.heuristic(root) <= self.bound:
                 self._stacks[0] = DFSStack([StackEntry(root, 0)])
 
     # -- storage views -----------------------------------------------------
@@ -285,7 +268,7 @@ class SearchWorkload:
         self._cached_counts = None
         n = 0
         problem = self.problem
-        h = self._h
+        h = problem.heuristic
         bound = self.bound
         for stack in stacks:
             entry = stack.pop_next()
@@ -426,7 +409,6 @@ def parallel_depth_bounded(
     trace: bool = False,
     first_solution_only: bool = False,
     backend: str = "list",
-    h_memo: HeuristicMemo | None = None,
     sanitize: bool = False,
     kernel_backend: str = "numpy",
 ) -> tuple[SearchWorkload, RunMetrics]:
@@ -447,7 +429,6 @@ def parallel_depth_bounded(
         split=split,
         first_solution_only=first_solution_only,
         backend=backend,
-        h_memo=h_memo,
         kernel_backend=kernel_backend,
     )
     metrics = Scheduler(
@@ -467,8 +448,6 @@ class ParallelSearchResult:
 
     ``total_expanded`` is the parallel ``W``; ``per_iteration_expanded``
     lets tests compare each iteration against serial IDA* exactly.
-    ``h_memo_hits``/``h_memo_misses`` report the list backend's heuristic
-    cache (both zero when the memo is off or the backend is the arena).
     """
 
     solution_cost: int | None
@@ -477,13 +456,6 @@ class ParallelSearchResult:
     bounds: tuple[int, ...]
     per_iteration_expanded: tuple[int, ...]
     metrics: RunMetrics
-    h_memo_hits: int = 0
-    h_memo_misses: int = 0
-
-    @property
-    def h_memo_hit_rate(self) -> float:
-        total = self.h_memo_hits + self.h_memo_misses
-        return self.h_memo_hits / total if total else 0.0
 
 
 class ParallelIDAStar:
@@ -513,13 +485,6 @@ class ParallelIDAStar:
         Expand-cycle kernel tier forwarded to every iteration's workload
         (arena backend only); one :class:`~repro.kernels.KernelWorkspace`
         is shared across all iterations so scratch buffers warm up once.
-    heuristic_memo:
-        List backend only: cache child heuristics in one (deprecated)
-        :class:`~repro.search.memo.HeuristicMemo` shared across all
-        iterations.  Default **off** — BENCH_search.json shows the memo
-        is slower than recomputing the incremental heuristic (whole-
-        state hashing dominates); the flag remains so the ablation can
-        still be reproduced.  Ignored by the arena backend.
     sanitize:
         Forwarded to every iteration's
         :class:`~repro.core.scheduler.Scheduler` — assert the lock-step
@@ -550,7 +515,6 @@ class ParallelIDAStar:
         split: str = "bottom",
         max_iterations: int = 100,
         backend: str = "list",
-        heuristic_memo: bool = False,
         sanitize: bool = False,
         faults: FaultPlan | None = None,
         obs: Observability | None = None,
@@ -567,16 +531,11 @@ class ParallelIDAStar:
         self.sanitize = sanitize
         self.faults = faults
         self.obs = obs
-        self.kernel_backend = resolve_backend(kernel_backend)
+        self.kernel_backend = check_backend(kernel_backend)
         # One workspace for the whole deepening run: scratch buffers and
         # pooled arena planes warmed by iteration k are reused by k+1.
         self._kernel_ws = (
             KernelWorkspace() if self.kernel_backend != "numpy" else None
-        )
-        self.h_memo = (
-            HeuristicMemo(problem.heuristic)
-            if heuristic_memo and backend == "list"
-            else None
         )
 
     def run(self) -> ParallelSearchResult:
@@ -596,7 +555,6 @@ class ParallelIDAStar:
                 self.n_pes,
                 split=self.split,
                 backend=self.backend,
-                h_memo=self.h_memo,
                 kernel_backend=self.kernel_backend,
                 workspace=self._kernel_ws,
             )
@@ -657,8 +615,6 @@ class ParallelIDAStar:
             metrics=self._final_metrics(
                 machine, sum(per_iter), last_metrics, fault_runtime
             ),
-            h_memo_hits=self.h_memo.hits if self.h_memo is not None else 0,
-            h_memo_misses=self.h_memo.misses if self.h_memo is not None else 0,
         )
         if self.obs is not None and self.obs.metrics is not None:
             record_run(self.obs.metrics, result.metrics)

@@ -115,7 +115,7 @@ class StackArena:
         self.data = np.zeros((n_pes, capacity), dtype=np.int64)
         self.bottom = np.zeros(n_pes, dtype=np.int64)
         self.top = np.zeros(n_pes, dtype=np.int64)
-        # Optional KernelWorkspace: when set (fused/jit tiers), growth
+        # Optional KernelWorkspace: when set (fused tier), growth
         # leases pooled buffers and compaction reuses the cached iota
         # instead of allocating fresh arrays every doubling.
         self.workspace = None

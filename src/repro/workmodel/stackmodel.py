@@ -46,7 +46,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.kernels.dispatch import get_kernel, resolve_backend
+from repro.kernels.dispatch import check_backend, get_kernel
 from repro.kernels.workspace import KernelWorkspace
 from repro.obs.profile import span
 from repro.util.rng import as_generator
@@ -81,9 +81,8 @@ class StackWorkload:
         supports ``"batched"``.
     kernel_backend:
         Expand-cycle kernel tier for the arena backend — ``"numpy"``
-        (reference, default), ``"fused"`` (zero-allocation workspace
-        path), ``"jit"`` (numba when available, else fused) or
-        ``"auto"``.  The list backend is the oracle and only accepts
+        (reference, default) or ``"fused"`` (zero-allocation workspace
+        path).  The list backend is the oracle and only accepts
         ``"numpy"``.
     workspace:
         Optional shared :class:`~repro.kernels.KernelWorkspace`; one is
@@ -124,7 +123,7 @@ class StackWorkload:
             raise ValueError("the arena backend only supports sampler='batched'")
         self.backend = backend
         self.sampler = sampler
-        resolved = resolve_backend(kernel_backend)
+        resolved = check_backend(kernel_backend)
         if backend == "list" and resolved != "numpy":
             raise ValueError(
                 "the list backend is the oracle tier and only accepts "

@@ -1,11 +1,9 @@
 """Registry and dispatch semantics of :mod:`repro.kernels.dispatch`.
 
-The dispatch layer's contract is small but load-bearing: ``"auto"``
-resolves to the best tier the interpreter can run, a requested ``"jit"``
-without numba degrades to ``"fused"`` instead of erroring, and kernels
-missing from a tier fall through the chain ``jit -> fused -> numpy``.
-These tests run identically with or without numba installed — every
-assertion branches on :data:`HAVE_NUMBA` rather than assuming a tier.
+The dispatch layer's contract is small but load-bearing: two tiers
+(``"numpy"`` reference, ``"fused"``), an exact ``(name, tier)`` lookup
+with no fallback between tiers, :class:`~repro.errors.ConfigError` for
+an unknown tier and ``KeyError`` for a kernel missing at a known one.
 """
 
 import pytest
@@ -13,36 +11,27 @@ import pytest
 from repro.errors import ConfigError
 from repro.kernels.dispatch import (
     BACKENDS,
-    HAVE_NUMBA,
-    available_backends,
+    check_backend,
     get_kernel,
-    jit_note,
     register,
     registered_kernels,
-    resolve_backend,
 )
 
 
 class TestResolveBackend:
-    def test_auto_picks_best_available(self):
-        assert resolve_backend("auto") == ("jit" if HAVE_NUMBA else "fused")
+    def test_tiers(self):
+        assert BACKENDS == ("numpy", "fused")
 
     def test_explicit_tiers_resolve_to_themselves(self):
-        assert resolve_backend("numpy") == "numpy"
-        assert resolve_backend("fused") == "fused"
-
-    def test_jit_degrades_gracefully_without_numba(self):
-        assert resolve_backend("jit") == ("jit" if HAVE_NUMBA else "fused")
+        assert check_backend("numpy") == "numpy"
+        assert check_backend("fused") == "fused"
 
     def test_unknown_backend_raises_config_error(self):
-        with pytest.raises(ConfigError, match="kernel backend"):
-            resolve_backend("cuda")
-
-    def test_available_backends_subset_of_backends(self):
-        avail = available_backends()
-        assert set(avail) <= set(BACKENDS)
-        assert ("jit" in avail) == HAVE_NUMBA
-        assert avail[:2] == ("numpy", "fused")
+        for backend in ("cuda", "jit", "auto"):
+            with pytest.raises(ConfigError, match="kernel backend"):
+                check_backend(backend)
+            with pytest.raises(ConfigError, match="kernel backend"):
+                get_kernel("stack.expand_cycle", backend)
 
 
 class TestRegistryLookup:
@@ -53,43 +42,29 @@ class TestRegistryLookup:
             assert "numpy" in tiers, name
 
     def test_expected_kernel_names_registered(self):
-        names = set(registered_kernels())
-        assert {
-            "stack.expand_cycle",
-            "search.expand_cycle",
-            "mega.expand_all",
-            "scan.sum_scan",
-            "scan.enumerate_mask",
-            "match.rendezvous",
-        } <= names
-
-    def test_fallback_chain_returns_lower_tier(self):
-        """The stack kernel has no jit tier (RNG draws are not
-        numba-replayable), so asking for jit walks down the chain."""
-        tiers = registered_kernels()["stack.expand_cycle"]
-        assert "jit" not in tiers
-        assert get_kernel("stack.expand_cycle", "jit") is get_kernel(
-            "stack.expand_cycle", "fused"
-        )
+        """The full registry: fused only where BENCH measured a win."""
+        assert registered_kernels() == {
+            "stack.expand_cycle": ("fused", "numpy"),
+            "search.expand_cycle": ("fused", "numpy"),
+            "mega.expand_all": ("numpy",),
+            "mega.busy_counts": ("numpy",),
+            "mega.nonzero_counts": ("numpy",),
+            "mega.remaining": ("numpy",),
+        }
 
     def test_numpy_request_never_upgrades(self):
         assert get_kernel("stack.expand_cycle", "numpy") is not get_kernel(
             "stack.expand_cycle", "fused"
         )
 
+    def test_missing_tier_does_not_fall_back(self):
+        with pytest.raises(KeyError, match="mega.expand_all"):
+            get_kernel("mega.expand_all", "fused")
+
     def test_unknown_kernel_raises_with_known_names(self):
         with pytest.raises(KeyError, match="stack.expand_cycle"):
-            get_kernel("no.such.kernel")
+            get_kernel("no.such.kernel", "numpy")
 
     def test_register_rejects_unknown_backend(self):
         with pytest.raises(ConfigError, match="unknown backend"):
             register("x", "cuda", lambda: None)
-
-
-class TestJitNote:
-    def test_note_matches_numba_availability(self):
-        note = jit_note()
-        if HAVE_NUMBA:
-            assert note is None
-        else:
-            assert "numba" in note and "fused" in note

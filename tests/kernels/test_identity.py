@@ -2,31 +2,34 @@
 
 The acceptance gate for the kernel layer: across all six paper schemes
 (GP/nGP x S^x/D_P/D_K), with the runtime sanitizer asserting the
-lock-step invariants, the fused tier (and the jit tier where numba is
-installed — without it ``"jit"`` resolves to fused, so the parametrize
-still exercises the resolution path) produces *exactly* the runs the
+lock-step invariants, the fused tier produces *exactly* the runs the
 list oracle produces: same RunMetrics, same traces, same stacks, same
-RNG stream position.  Covers all three workload families the kernels
-back: the synthetic stack model, the real 15-puzzle search, and the
-mega-arena grid executor.
+RNG stream position.  Covers both workload families with a fused tier:
+the synthetic stack model and the real 15-puzzle search, including the
+fused search tier's sparse-frontier row loop on its own.  (The
+mega-arena grid kernels have only the numpy tier; batched == serial is
+gated in ``tests/experiments/test_batched_grid.py``.)
 """
 
+import numpy as np
 import pytest
 
 from repro.core.config import PAPER_SCHEMES
 from repro.core.scheduler import Scheduler
-from repro.experiments.runner import default_init_threshold, run_grid
-from repro.kernels.dispatch import available_backends
+from repro.experiments.runner import default_init_threshold
+from repro.kernels.dispatch import BACKENDS, get_kernel
+from repro.kernels.search import _expand_rows_driver
+from repro.kernels.workspace import KernelWorkspace
 from repro.problems.fifteen_puzzle import BENCH_INSTANCES
-from repro.search.parallel import ParallelIDAStar
+from repro.search.parallel import ParallelIDAStar, SearchWorkload
 from repro.simd.cost import CostModel
 from repro.simd.machine import SimdMachine
 from repro.workmodel.stackmodel import StackWorkload
 
 WORK, N_PES, SEED = 8_000, 32, 7
 
-#: Non-reference tiers to gate (("fused",) without numba, + "jit" with).
-TIERS = tuple(t for t in available_backends() if t != "numpy")
+#: Non-reference tiers to gate.
+TIERS = tuple(t for t in BACKENDS if t != "numpy")
 
 _stack_oracle: dict[str, object] = {}
 _search_oracle: dict[str, object] = {}
@@ -70,12 +73,6 @@ class TestStackTierIdentity:
             == oracle_wl.rng.bit_generator.state
         )
 
-    def test_auto_resolves_and_matches(self):
-        spec = "GP-S0.75"
-        a = _stack_run(spec, "auto")[0]
-        b = _stack_run(spec, "numpy")[0]
-        assert a == b
-
 
 class TestSearchTierIdentity:
     @pytest.mark.parametrize("tier", TIERS)
@@ -108,14 +105,44 @@ class TestSearchTierIdentity:
         assert result.metrics == oracle.metrics
 
 
-class TestMegaGridTierIdentity:
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_batched_grid_matches_serial_oracle(self, tier):
-        schemes = ["GP-S0.90", "nGP-DK"]
-        works = [2_000, 5_000]
-        pes = [32]
-        serial = run_grid(schemes, works, pes, executor="serial")
-        batched = run_grid(
-            schemes, works, pes, executor="batched", kernel_backend=tier
-        )
-        assert serial == batched
+
+def _spread_workload(cycles: int = 24) -> SearchWorkload:
+    problem = BENCH_INSTANCES["tiny"]
+    bound = problem.heuristic(problem.initial_state()) + 10
+    wl = SearchWorkload(problem, bound, 16, backend="arena")
+    for _ in range(cycles):
+        if wl.done():
+            break
+        wl.expand_cycle()
+    return wl
+
+
+def _search_state(wl: SearchWorkload) -> tuple:
+    return (
+        wl.total_expanded(),
+        wl.next_bound,
+        wl.solutions,
+        sorted(wl.goal_depths),
+        wl._counts().tolist(),
+    )
+
+
+class TestPythonRowLoopTwin:
+    """The fused search tier's sparse-frontier row loop, run on every
+    cycle regardless of frontier width."""
+
+    def test_row_loop_matches_numpy_kernel(self):
+        reference = _spread_workload()
+        subject = _spread_workload(cycles=0)
+        ws = KernelWorkspace()
+        numpy_kernel = get_kernel("search.expand_cycle", "numpy")
+        for _ in range(24):
+            if subject.done():
+                break
+            pes = np.flatnonzero(subject._counts() > 0)
+            if len(pes) == 0:
+                numpy_kernel(subject, None)
+                continue
+            subject._cached_counts = None
+            _expand_rows_driver(subject, pes, ws)
+        assert _search_state(subject) == _search_state(reference)

@@ -155,15 +155,6 @@ class TestArenaBackendValidation:
         with pytest.raises(ValueError, match="[Mm]anhattan"):
             SearchWorkload(p, 40, 4, backend="arena")
 
-    def test_rejects_h_memo(self):
-        from repro.search.memo import HeuristicMemo
-
-        p = SlidingPuzzle.scrambled(3, 8, rng=0)
-        with pytest.raises(ValueError, match="h_memo"):
-            SearchWorkload(
-                p, 20, 4, backend="arena", h_memo=HeuristicMemo(p.heuristic)
-            )
-
     def test_bad_backend_rejected(self):
         p = SlidingPuzzle.scrambled(3, 8, rng=0)
         with pytest.raises(ValueError, match="backend"):

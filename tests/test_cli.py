@@ -56,6 +56,26 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve", "sudoku"])
 
+    def test_kernel_backend_choices_mirror_registry(self, capsys):
+        """The literal --kernel-backend choices are exactly the kernel
+        tiers; a removed tier is a usage error (exit 2)."""
+        from repro.cli import build_parser
+        from repro.kernels import BACKENDS
+
+        parser = build_parser()
+        solve = next(
+            a for a in parser._subparsers._group_actions[0].choices.values()
+            if a.prog.endswith(" solve")
+        )
+        flag = next(
+            a for a in solve._actions if "--kernel-backend" in a.option_strings
+        )
+        assert tuple(flag.choices) == BACKENDS
+        for tier in ("jit", "auto"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "puzzle", "--kernel-backend", tier])
+            assert exc.value.code == 2
+
 
 class TestXo:
     def test_prints_trigger(self, capsys):
@@ -127,6 +147,15 @@ class TestGridIsoeff:
             a for a in grid_sub._actions if "--executor" in a.option_strings
         )
         assert tuple(flag.choices) == GRID_EXECUTORS
+
+    def test_grid_rejects_kernel_backend(self, tmp_path):
+        """Kernel tiers never applied to the grid engines: no such flag."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "grid", str(tmp_path / "g.json"), "--schemes", "GP-S0.75",
+                "--works", "1000", "--pes", "8", "--kernel-backend", "numpy",
+            ])
+        assert exc.value.code == 2
 
 
 class TestBench:
